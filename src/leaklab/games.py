@@ -15,7 +15,9 @@ the declared config separates the classes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .machine import CollectorPolicy, SimMachine, run_collect
+from .schemas import validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
 from .workloads import PRIME_LADDER, build_workload
 
@@ -302,77 +305,35 @@ class LabeledDataset:
         with open(root / "manifest.jsonl") as fh:
             for line in fh:
                 row = json.loads(line)
+                validate_manifest_row(row)
                 label = row["label"]
                 if isinstance(label, list):
                     label = tuple(label)
                 entries.append(DatasetEntry(
                     seed=row["seed"], label=label, path=root / row["path"]))
+        if len(entries) != meta["n"]:
+            raise ValueError(f"{root}: manifest has {len(entries)} rows, "
+                             f"dataset.json says n={meta['n']}")
         return cls(meta["game"], meta["base_seed"], entries,
                    metadata=meta, root=root)
-
-
-class _DatasetWriter:
-    def __init__(self, game: str, out_dir):
-        self.game = game
-        self.root = Path(out_dir) if out_dir is not None else None
-        self.entries: list[DatasetEntry] = []
-        self._manifest = None
-        if self.root is not None:
-            (self.root / "traces").mkdir(parents=True, exist_ok=True)
-            self._manifest = open(self.root / "manifest.jsonl", "w")
-
-    def add(self, trace: Trace, label, seed: int) -> None:
-        self._add_text(write_trace(trace) if self.root is not None else None,
-                       trace, label, seed)
-
-    def add_text(self, text: str, label, seed: int) -> None:
-        self._add_text(text, None, label, seed)
-
-    def _add_text(self, text: str | None, trace: Trace | None, label, seed: int) -> None:
-        idx = len(self.entries)
-        if self.root is None:
-            if trace is None:
-                trace = parse_trace(text)
-            self.entries.append(DatasetEntry(seed=seed, label=label, trace=trace))
-            return
-        rel = f"traces/trace_{idx:05d}.txt"
-        (self.root / rel).write_text(text)
-        self.entries.append(DatasetEntry(seed=seed, label=label, path=self.root / rel))
-        row = {"path": rel, "label": list(label) if isinstance(label, tuple) else label,
-               "game": self.game, "seed": seed}
-        self._manifest.write(json.dumps(row, sort_keys=True) + "\n")
-
-    def finish(self, base_seed: int, metadata: dict) -> LabeledDataset:
-        if self._manifest is not None:
-            self._manifest.close()
-            meta = dict(metadata)
-            meta["game"] = self.game
-            meta["base_seed"] = base_seed
-            (self.root / "dataset.json").write_text(
-                json.dumps(meta, sort_keys=True, indent=1) + "\n")
-            metadata = meta
-        else:
-            metadata = dict(metadata)
-            metadata["game"] = self.game
-            metadata["base_seed"] = base_seed
-        return LabeledDataset(self.game, base_seed, self.entries,
-                              metadata=metadata, root=self.root)
 
 
 # ---------------------------------------------------------------------------
 # game runners
 # ---------------------------------------------------------------------------
 
-def _collect_one(cfg: GameConfig, inputs: list, run_seed: int):
+def _trace_job(cfg: GameConfig, inputs: list, as_text: bool, x, run_seed: int):
+    """Run one game round: the trace text when ``as_text``, else the Trace."""
     machine = SimMachine(
         cipher_seed=derive_seed(run_seed, "cipher"),
         alloc_seed=derive_seed(run_seed, "alloc"),
     )
-    workload = build_workload(cfg.workload, inputs, derive_seed(run_seed, "workload"))
+    workload = build_workload(cfg.workload, inputs + [x], derive_seed(run_seed, "workload"))
     policy = CollectorPolicy.from_json(cfg.policy)
     if policy.drop_prob or policy.flip_prob:
         policy = dataclasses.replace(policy, rng_seed=derive_seed(run_seed, "noise"))
-    return run_collect(machine, workload, policy, trace_seed=run_seed)
+    trace, _ = run_collect(machine, workload, policy, trace_seed=run_seed)
+    return write_trace(trace) if as_text else trace
 
 
 def _sybil_list(sybil: dict) -> list:
@@ -404,48 +365,47 @@ def _fingerprint_setup(cfg: GameConfig):
     return prior, interesting, sybils
 
 
-def _game_inputs(cfg: GameConfig, x) -> list:
-    if cfg.game == "distinguish":
-        return _sybil_list(cfg.sybil) + [x]
-    _, _, sybils = _fingerprint_setup(cfg)
-    return sybils + [x]
+def _generate(cfg: GameConfig, inputs: list, plan: list[tuple], meta: dict,
+              out_dir, jobs: int, progress) -> LabeledDataset:
+    """Run ``plan`` = [(x, label, seed), ...] and store the traces in order.
 
-
-def _trace_text_job(args) -> str:
-    """Worker for parallel generation: returns the canonical trace text."""
-    cfg_json, x, run_seed = args
-    cfg = GameConfig.from_json(cfg_json)
-    trace, _ = _collect_one(cfg, _game_inputs(cfg, x), run_seed)
-    return write_trace(trace)
-
-
-def _run_plan(cfg: GameConfig, plan: list[tuple], writer: _DatasetWriter,
-              jobs: int, progress) -> None:
-    """Execute [(x, label, seed), ...] sequentially or across processes."""
-    if jobs > 1 and writer.root is None:
+    Serial and pooled runs map the same job; on-disk runs store its trace
+    text under ``out_dir``, in-memory runs keep its Trace.
+    """
+    if jobs > 1 and out_dir is None:
         raise ValueError("parallel generation requires an output directory")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    root = Path(out_dir) if out_dir is not None else None
+    meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(plan),
+            "game": cfg.game, "base_seed": cfg.base_seed, **meta}
+    job = functools.partial(_trace_job, cfg, inputs, root is not None)
+    xs, labels, seeds = zip(*plan)
+    entries: list[DatasetEntry] = []
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        cfg_json = cfg.to_json()
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            texts = ex.map(_trace_text_job,
-                           [(cfg_json, x, seed) for x, _, seed in plan],
-                           chunksize=4)
-            for (x, label, seed), text in zip(plan, texts):
-                writer.add_text(text, label, seed)
-                if progress is not None:
-                    progress(len(writer.entries), len(plan))
-        return
-    inputs_cache = _sybil_list(cfg.sybil) if cfg.game == "distinguish" else None
-    if inputs_cache is None:
-        _, _, sybils = _fingerprint_setup(cfg)
-        inputs_cache = sybils
-    for x, label, seed in plan:
-        trace, _ = _collect_one(cfg, inputs_cache + [x], seed)
-        writer.add(trace, label, seed)
-        if progress is not None:
-            progress(len(writer.entries), len(plan))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(job, xs, seeds, chunksize=4)
+        else:
+            results = map(job, xs, seeds)
+        if root is not None:
+            (root / "traces").mkdir(parents=True, exist_ok=True)
+            manifest = stack.enter_context(open(root / "manifest.jsonl", "w"))
+        for idx, (label, seed, result) in enumerate(zip(labels, seeds, results)):
+            if root is None:
+                entries.append(DatasetEntry(seed=seed, label=label, trace=result))
+            else:
+                rel = f"traces/trace_{idx:05d}.txt"
+                (root / rel).write_text(result)
+                entries.append(DatasetEntry(seed=seed, label=label, path=root / rel))
+                row = {"path": rel, "game": cfg.game, "seed": seed,
+                       "label": list(label) if isinstance(label, tuple) else label}
+                manifest.write(json.dumps(row, sort_keys=True) + "\n")
+            if progress is not None:
+                progress(idx + 1, len(plan))
+    if root is not None:
+        (root / "dataset.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    return LabeledDataset(cfg.game, cfg.base_seed, entries, metadata=meta, root=root)
 
 
 def run_distinguishing_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
@@ -453,16 +413,13 @@ def run_distinguishing_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
     """Generate the two-secret dataset: label i%2 picks x0 or x1."""
     if cfg.game != "distinguish":
         raise ValueError("config is not a distinguishing game")
-    writer = _DatasetWriter(cfg.game, out_dir)
     plan = []
     for i in range(2 * cfg.traces_per_class):
         label = i % 2
         plan.append((cfg.x1 if label else cfg.x0, label,
                      derive_seed(cfg.base_seed, "run", i)))
-    _run_plan(cfg, plan, writer, jobs, progress)
-    meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(),
-            "n": len(plan), "labels": "binary"}
-    return writer.finish(cfg.base_seed, meta)
+    return _generate(cfg, _sybil_list(cfg.sybil), plan, {"labels": "binary"},
+                     out_dir, jobs, progress)
 
 
 def run_fingerprinting_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
@@ -477,7 +434,6 @@ def run_fingerprinting_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
     s_c = max(p_member, 1.0 - p_member)
     s_f = max(prior.prob_of(u) for u in interesting) / p_member
 
-    writer = _DatasetWriter(cfg.game, out_dir)
     plan = []
     for i in range(cfg.n_traces):
         run_seed = derive_seed(cfg.base_seed, "run", i)
@@ -485,10 +441,6 @@ def run_fingerprinting_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
         x = prior.sample(rng)
         label = (1, index_of[x]) if x in member_set else (0, -1)
         plan.append((x, label, run_seed))
-    _run_plan(cfg, plan, writer, jobs, progress)
-    meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(),
-            "n": cfg.n_traces, "labels": "membership_identity",
-            "s_c": s_c, "s_f": s_f,
-            "interest_size": len(interesting),
-            "sybil_distinct": len(set(sybils))}
-    return writer.finish(cfg.base_seed, meta)
+    meta = {"labels": "membership_identity", "s_c": s_c, "s_f": s_f,
+            "interest_size": len(interesting), "sybil_distinct": len(set(sybils))}
+    return _generate(cfg, sybils, plan, meta, out_dir, jobs, progress)

@@ -26,6 +26,7 @@ __all__ = [
     "sample_dummy_count",
     "verify_dummy_dp",
     "noise_and_threshold",
+    "noise_entry",
     "threshold_value",
 ]
 
@@ -149,18 +150,29 @@ def threshold_value(eps: float, delta: float) -> float:
     return 1.0 + math.log(1.0 / (2.0 * delta)) / eps
 
 
+def noise_entry(count: int, eps: float, threshold: float,
+                rng: np.random.Generator) -> tuple[float, bool]:
+    """One entry's release: ``(noisy_count, noisy_count >= threshold)``.
+
+    Takes one Laplace draw at scale ``1/eps``, rounded to the nearest
+    integer to preserve count semantics.
+    """
+    noisy = float(count + round(float(rng.laplace(0.0, 1.0 / eps))))
+    return noisy, noisy >= threshold
+
+
 def noise_and_threshold(counts: dict, eps: float, delta: float,
                         rng: np.random.Generator) -> dict:
     """Laplace-noise each count and keep entries at or above the threshold.
 
-    Noise is drawn at scale ``1/eps`` and rounded to the nearest integer
-    to preserve count semantics.  Returns ``{key: noisy_count}`` for the
+    Entries are noised in ``counts`` order, one draw each (see
+    :func:`noise_entry`).  Returns ``{key: noisy_count}`` for the
     survivors.
     """
     t = threshold_value(eps, delta)
     out = {}
     for key, count in counts.items():
-        noisy = count + round(float(rng.laplace(0.0, 1.0 / eps)))
-        if noisy >= t:
-            out[key] = float(noisy)
+        noisy, keep = noise_entry(count, eps, t, rng)
+        if keep:
+            out[key] = noisy
     return out

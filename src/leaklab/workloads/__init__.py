@@ -8,10 +8,10 @@ configuration shape used by game configs and the command line.
 
 from __future__ import annotations
 
-from .covert import CovertDecodeError, CovertSender, SecretMessage, covert_decode, covert_send
+from .covert import CovertDecodeError, CovertSender, SecretMessage, covert_decode
 from .hashmap import PRIME_LADDER, SimHashMap
 from .oram import OramPir, PathOram
-from .phh import HeavyHitters, PhhResult, SyntheticLoop, phh_run
+from .phh import HeavyHitters, PhhResult, SyntheticLoop
 from .pir import HashMapPir, LinearScanPir, make_db_values
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "PRIME_LADDER",
     "HeavyHitters",
     "PhhResult",
-    "phh_run",
     "SyntheticLoop",
     "LinearScanPir",
     "HashMapPir",
@@ -28,7 +27,6 @@ __all__ = [
     "OramPir",
     "SecretMessage",
     "CovertSender",
-    "covert_send",
     "covert_decode",
     "CovertDecodeError",
     "build_workload",

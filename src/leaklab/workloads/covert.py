@@ -64,10 +64,6 @@ class CovertSender:
         return counter - 1
 
 
-def covert_send(machine: SimMachine, message: SecretMessage) -> int:
-    return CovertSender(message)(machine)
-
-
 def covert_decode(trace: Trace) -> bytes:
     """Recover the transmitted byte stream from a receiver-side trace.
 

@@ -65,9 +65,6 @@ class SimHashMap:
     def _node_loc(self, nid: int) -> tuple[int, int]:
         return self._node_pages[nid // _NODES_PER_PAGE], (nid % _NODES_PER_PAGE) * _NODE_SLOT
 
-    def node_page_of(self, key: str) -> int:
-        return self._node_loc(self._index[key])[0]
-
     def node_ref(self, key: str) -> tuple[int, int]:
         """(page, offset) of the key's node slot.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..machine import SimMachine
-from ..mitigation import sample_dummy_count, threshold_value
+from ..mitigation import noise_entry, sample_dummy_count, threshold_value
 from .hashmap import SimHashMap
 
 _DUMMY_PREFIX = "dummy://"
@@ -113,9 +113,8 @@ class HeavyHitters:
             m.read(node_page, node_off + 8, 8)
             count = counts[key]
             m.exec_page(code_noise)
-            noisy = float(count) + float(np.round(rng.laplace(0.0, 1.0 / self.eps)))
+            noisy, keep = noise_entry(count, self.eps, thresh, rng)
             m.write(scratch, 0, struct.pack("<q", int(noisy) & (2**63 - 1)))
-            keep = noisy >= thresh
             m.branch(taken=keep)
             if keep:
                 m.exec_page(code_out)
@@ -135,14 +134,6 @@ class HeavyHitters:
             rehash_count=hmap.rehash_count,
             released=[k for k in released if not k.startswith(_DUMMY_PREFIX)],
         )
-
-
-def phh_run(machine: SimMachine, inputs: list[str], eps: float, delta: float,
-            mitigated: bool = False, marked_stage: str | None = "noise_threshold",
-            seed: int = 0, hash_seed: int = 0) -> PhhResult:
-    """One-shot convenience wrapper around :class:`HeavyHitters`."""
-    return HeavyHitters(inputs, eps, delta, mitigated, marked_stage,
-                        seed, hash_seed)(machine)
 
 
 class SyntheticLoop:

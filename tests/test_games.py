@@ -17,6 +17,7 @@ from leaklab.games import (
     run_distinguishing_game,
     run_fingerprinting_game,
 )
+from leaklab.schemas import SchemaError
 from leaklab.trace import write_trace
 
 LOOP_CFG = dict(
@@ -226,12 +227,40 @@ def test_game_runner_type_checks():
         run_distinguishing_game(GameConfig.from_json(dict(FP_CFG)))
 
 
-def test_parallel_generation_matches_serial(tmp_path):
-    cfg = GameConfig.from_json(dict(LOOP_CFG))
-    serial = run_distinguishing_game(cfg, out_dir=tmp_path / "s")
-    parallel = run_distinguishing_game(cfg, out_dir=tmp_path / "p", jobs=2)
-    for a, b in zip(serial.entries, parallel.entries):
-        assert a.label == b.label
-        assert write_trace(a.load()) == write_trace(b.load())
+def _dir_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("cfg_obj", [LOOP_CFG, FP_CFG], ids=["distinguish", "fingerprint"])
+def test_parallel_generation_matches_serial(tmp_path, cfg_obj):
+    cfg = GameConfig.from_json(dict(cfg_obj))
+    run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
+    ds = run(cfg, out_dir=tmp_path / "s")
+    run(cfg, out_dir=tmp_path / "p", jobs=2)
+    serial, parallel = _dir_bytes(tmp_path / "s"), _dir_bytes(tmp_path / "p")
+    assert len(serial) == len(ds) + 2  # traces, manifest.jsonl, dataset.json
+    assert serial == parallel
     with pytest.raises(ValueError):
-        run_distinguishing_game(cfg, jobs=2)  # parallel needs a directory
+        run(cfg, jobs=2)  # parallel needs a directory
+
+
+def test_dataset_load_rejects_truncated_manifest(tmp_path):
+    cfg = GameConfig.from_json(dict(LOOP_CFG))
+    run_distinguishing_game(cfg, out_dir=tmp_path / "d")
+    manifest = tmp_path / "d" / "manifest.jsonl"
+    rows = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(rows[:-1]))
+    with pytest.raises(ValueError, match="manifest has 5 rows"):
+        LabeledDataset.load(tmp_path / "d")
+
+
+def test_dataset_load_rejects_bad_label(tmp_path):
+    cfg = GameConfig.from_json(dict(LOOP_CFG))
+    run_distinguishing_game(cfg, out_dir=tmp_path / "d")
+    manifest = tmp_path / "d" / "manifest.jsonl"
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    rows[2]["label"] = "one"
+    manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    with pytest.raises(SchemaError):
+        LabeledDataset.load(tmp_path / "d")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from leaklab.machine import SimMachine
 from leaklab.mitigation import (
     dummy_shift,
     noise_and_threshold,
@@ -12,6 +13,7 @@ from leaklab.mitigation import (
     threshold_value,
     verify_dummy_dp,
 )
+from leaklab.workloads import HeavyHitters
 
 
 def tail(eps, a):
@@ -117,3 +119,21 @@ def test_heavy_keys_always_survive():
         out = noise_and_threshold(counts, eps, delta, rng)
         assert "heavy" in out
     assert out["heavy"] >= t
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_phh_release_is_noise_and_threshold(seed):
+    # the service's stage two draws one Laplace per first-seen key, in
+    # insertion order, from the same stream the unmitigated run starts on
+    eps, delta = 0.5, 1e-3
+    inputs = [f"k{i}" for i in range(30) for _ in range(i + 1)]
+    np.random.default_rng(99).shuffle(inputs)
+    counts = {}
+    for key in inputs:
+        counts[key] = counts.get(key, 0) + 1
+    result = HeavyHitters(inputs, eps, delta, mitigated=False,
+                          marked_stage=None, seed=seed)(SimMachine(alloc_seed=seed))
+    expected = noise_and_threshold(counts, eps, delta,
+                                   np.random.default_rng([seed, 0x9E37]))
+    assert list(result.survivors.items()) == list(expected.items())
+    assert 0 < len(expected) < len(counts)

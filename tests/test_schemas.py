@@ -1,7 +1,5 @@
 """Bundled schema integrity and validator behavior."""
 
-from pathlib import Path
-
 import jsonschema
 import pytest
 
@@ -13,9 +11,6 @@ from leaklab.schemas import (
     validate_manifest_row,
     validate_report,
 )
-
-REPO_SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
-PKG_SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "leaklab" / "schemas"
 
 GOOD_CONFIG = {
     "game": "distinguish",
@@ -29,12 +24,6 @@ GOOD_REPORT = {
     "command": "bound", "seed": None, "config_hash": "0" * 64,
     "params": {"eps": 1.0}, "results": {"advantage_bound": 0.1}, "ok": True,
 }
-
-
-def test_top_level_copies_match_packaged():
-    for name in SCHEMA_NAMES:
-        fn = f"{name}.schema.json"
-        assert (REPO_SCHEMAS / fn).read_text() == (PKG_SCHEMAS / fn).read_text()
 
 
 def test_schemas_are_valid_draft2020():
