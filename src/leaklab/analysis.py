@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 
 __all__ = [
@@ -115,6 +114,8 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     gradient norm at the returned weights is stored on the model and is
     expected to be at most 1e-4.
     """
+    import scipy.optimize  # about 0.6 s to import; only fits need it
+
     X = _as_matrix(X)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -190,8 +191,9 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
 
     history: list[float] = []
 
-    def record(theta):
-        history.append(objective(theta)[0])
+    def record(intermediate_result):
+        # the solver's own loss at the iterate: no extra evaluation
+        history.append(intermediate_result.fun)
 
     res = scipy.optimize.minimize(
         objective, theta0, jac=True, method="L-BFGS-B", callback=record,
@@ -338,14 +340,17 @@ def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
     from .features import FeatureParams, extract_features
 
     params = params or FeatureParams()
-    rows: dict[str, list[np.ndarray]] = {name: [] for name in feature_sets}
-    labels = []
+    feature_sets = list(feature_sets)
+    rows, labels = [], []
     for trace, label in dataset.iter_labeled():
+        fv = extract_features(trace, feature_sets, params)
+        rows.append(fv.values)
         labels.append(label)
-        for name in feature_sets:
-            fv = extract_features(trace, [name], params)
-            rows[name].append(fv.values)
-    X_by_set = {name: np.vstack(vals) for name, vals in rows.items()}
+    # split the columns per set; names carry the set as a "F<k>." prefix
+    X = np.vstack(rows)
+    prefixes = [n.split(".", 1)[0] for n in fv.names]
+    X_by_set = {name: X[:, [p == name for p in prefixes]]
+                for name in feature_sets}
     return advantage_from_matrices(
         X_by_set, labels, trials=trials, test_frac=test_frac,
         l2_lambda=l2_lambda, iterations=iterations,

@@ -32,7 +32,6 @@ from .trace import (
     DataAccess,
     Marker,
     Trace,
-    trace_stats,
     windowed_events,
 )
 
@@ -102,100 +101,116 @@ def _dist_stats(values: list[int], n_bins: int, prefix: str):
     return out, names
 
 
-def _extract_one(trace: Trace, name: str, params: FeatureParams):
-    events = windowed_events(trace)
+class _TracePass:
+    """Accumulators for all five sets, filled by one walk over the
+    marker-windowed events.  Per-page dicts keep first-appearance order."""
 
-    if name == "F1":
-        st = trace_stats(trace)
-        vals = [st["total_cf"], st["unique_cf"], st["total_da"], st["unique_da"]]
-        return (np.array(vals, dtype=np.float64),
-                ["cf_total", "cf_unique", "da_total", "da_unique"])
-
-    if name == "F2":
-        st = trace_stats(trace)
-        vals = [st["total_lines"], st["unique_lines"],
-                st["total_ci"], st["unique_ci_blocks"]]
-        return (np.array(vals, dtype=np.float64),
-                ["cache_total", "cache_unique", "ci_total", "ci_unique"])
-
-    if name == "F3":
-        line_freq = np.zeros(LINES_PER_PAGE)
-        block_freq = np.zeros(BLOCKS_PER_PAGE)
-        for ev in events:
-            if isinstance(ev, DataAccess) and ev.lines:
-                for ln in ev.lines:
-                    line_freq[ln] += 1
-            elif isinstance(ev, CiphertextDiff):
-                block_freq[ev.block] += 1
-        names = ([f"line_freq_{i:02d}" for i in range(LINES_PER_PAGE)]
-                 + [f"block_freq_{i:03d}" for i in range(BLOCKS_PER_PAGE)])
-        return np.concatenate([line_freq, block_freq]), names
-
-    if name == "F4":
-        da_after_cf: list[int] = []
+    def __init__(self, trace: Trace):
+        cf_count: dict[int, int] = {}      # code page -> fetches
+        da_count: dict[int, int] = {}      # data page -> accesses
+        lines_total: dict[int, int] = {}   # data page -> lines, with repeats
+        lines_seen: dict[int, set] = {}    # data page -> distinct lines
+        blocks_total: dict[int, int] = {}  # page -> block diffs
+        blocks_seen: dict[int, set] = {}   # page -> distinct diffed blocks
+        all_lines: list[int] = []
+        all_blocks: list[int] = []
+        da_after_cf: list[int] = []        # data accesses after each fetch
         run = None
-        lines_total: dict[int, int] = {}
-        lines_seen: dict[int, set] = {}
-        blocks_total: dict[int, int] = {}
-        blocks_seen: dict[int, set] = {}
-        for ev in events:
-            if isinstance(ev, CodeFetch):
+        for ev in windowed_events(trace):
+            kind = type(ev)
+            if kind is CiphertextDiff:
+                gpn = ev.gpn
+                blocks_total[gpn] = blocks_total.get(gpn, 0) + 1
+                blocks_seen.setdefault(gpn, set()).add(ev.block)
+                all_blocks.append(ev.block)
+            elif kind is CodeFetch:
+                cf_count[ev.gpn] = cf_count.get(ev.gpn, 0) + 1
                 if run is not None:
                     da_after_cf.append(run)
                 run = 0
-            elif isinstance(ev, DataAccess):
+            elif kind is DataAccess:
+                gpn = ev.gpn
+                da_count[gpn] = da_count.get(gpn, 0) + 1
                 if run is not None:
                     run += 1
-                if ev.lines:
-                    lines_total[ev.gpn] = lines_total.get(ev.gpn, 0) + len(ev.lines)
-                    lines_seen.setdefault(ev.gpn, set()).update(ev.lines)
-            elif isinstance(ev, CiphertextDiff):
-                blocks_total[ev.gpn] = blocks_total.get(ev.gpn, 0) + 1
-                blocks_seen.setdefault(ev.gpn, set()).add(ev.block)
+                lines = ev.lines
+                if lines:
+                    lines_total[gpn] = lines_total.get(gpn, 0) + len(lines)
+                    lines_seen.setdefault(gpn, set()).update(lines)
+                    all_lines.extend(lines)
         if run is not None:
             da_after_cf.append(run)
-        parts, names = [], []
-        for vals, prefix in (
-            (da_after_cf, "da_after_cf"),
-            (list(lines_total.values()), "page_lines_total"),
-            ([len(s) for s in lines_seen.values()], "page_lines_unique"),
-            (list(blocks_total.values()), "page_blocks_total"),
-            ([len(s) for s in blocks_seen.values()], "page_blocks_unique"),
-        ):
-            v, nm = _dist_stats(vals, params.n_bins, prefix)
-            parts.append(v)
-            names.extend(nm)
-        return np.concatenate(parts), names
+        self.cf_count = cf_count
+        self.da_count = da_count
+        self.lines_total = lines_total
+        self.lines_unique = [len(s) for s in lines_seen.values()]
+        self.blocks_total = blocks_total
+        self.blocks_unique = [len(s) for s in blocks_seen.values()]
+        self.all_lines = all_lines
+        self.all_blocks = all_blocks
+        self.da_after_cf = da_after_cf
 
-    if name == "F5":
-        cf_order: dict[int, int] = {}
-        da_order: dict[int, int] = {}
-        cf_counts: dict[int, int] = {}
-        da_counts: dict[int, int] = {}
-        for ev in events:
-            if isinstance(ev, CodeFetch):
-                idx = cf_order.setdefault(ev.gpn, len(cf_order))
-                cf_counts[idx] = cf_counts.get(idx, 0) + 1
-            elif isinstance(ev, DataAccess):
-                idx = da_order.setdefault(ev.gpn, len(da_order))
-                da_counts[idx] = da_counts.get(idx, 0) + 1
-        cf = np.zeros(params.m_cf)
-        for idx, c in cf_counts.items():
-            if idx < params.m_cf:
-                cf[idx] = c
-        da = np.zeros(params.m_da)
-        for idx, c in da_counts.items():
-            if idx < params.m_da:
-                da[idx] = c
-        names = ([f"cf_page_{i:03d}" for i in range(params.m_cf)]
-                 + [f"da_page_{i:03d}" for i in range(params.m_da)])
-        return np.concatenate([cf, da]), names
 
-    raise ValueError(f"unknown feature set: {name!r}")
+def _f1(acc: _TracePass, params: FeatureParams):
+    vals = [sum(acc.cf_count.values()), len(acc.cf_count),
+            sum(acc.da_count.values()), len(acc.da_count)]
+    return (np.array(vals, dtype=np.float64),
+            ["cf_total", "cf_unique", "da_total", "da_unique"])
+
+
+def _f2(acc: _TracePass, params: FeatureParams):
+    vals = [len(acc.all_lines), sum(acc.lines_unique),
+            len(acc.all_blocks), sum(acc.blocks_unique)]
+    return (np.array(vals, dtype=np.float64),
+            ["cache_total", "cache_unique", "ci_total", "ci_unique"])
+
+
+def _f3(acc: _TracePass, params: FeatureParams):
+    line_freq = np.bincount(np.array(acc.all_lines, dtype=np.intp),
+                            minlength=LINES_PER_PAGE)
+    block_freq = np.bincount(np.array(acc.all_blocks, dtype=np.intp),
+                             minlength=BLOCKS_PER_PAGE)
+    names = ([f"line_freq_{i:02d}" for i in range(LINES_PER_PAGE)]
+             + [f"block_freq_{i:03d}" for i in range(BLOCKS_PER_PAGE)])
+    return np.concatenate([line_freq, block_freq]).astype(np.float64), names
+
+
+def _f4(acc: _TracePass, params: FeatureParams):
+    parts, names = [], []
+    for vals, prefix in (
+        (acc.da_after_cf, "da_after_cf"),
+        (list(acc.lines_total.values()), "page_lines_total"),
+        (acc.lines_unique, "page_lines_unique"),
+        (list(acc.blocks_total.values()), "page_blocks_total"),
+        (acc.blocks_unique, "page_blocks_unique"),
+    ):
+        v, nm = _dist_stats(vals, params.n_bins, prefix)
+        parts.append(v)
+        names.extend(nm)
+    return np.concatenate(parts), names
+
+
+def _f5(acc: _TracePass, params: FeatureParams):
+    cf = np.zeros(params.m_cf)
+    counts = list(acc.cf_count.values())[:params.m_cf]
+    cf[:len(counts)] = counts
+    da = np.zeros(params.m_da)
+    counts = list(acc.da_count.values())[:params.m_da]
+    da[:len(counts)] = counts
+    names = ([f"cf_page_{i:03d}" for i in range(params.m_cf)]
+             + [f"da_page_{i:03d}" for i in range(params.m_da)])
+    return np.concatenate([cf, da]), names
+
+
+_SET_BUILDERS = {"F1": _f1, "F2": _f2, "F3": _f3, "F4": _f4, "F5": _f5}
 
 
 def extract_features(trace: Trace, sets, params: FeatureParams | None = None) -> FeatureVector:
-    """Concatenated feature vector for the requested sets, in given order."""
+    """Concatenated feature vector for the requested sets, in given order.
+
+    One walk over the trace fills the counts behind all five sets; each
+    requested set is then built from them.
+    """
     params = params or FeatureParams()
     sets = list(sets)
     if not sets:
@@ -210,9 +225,10 @@ def extract_features(trace: Trace, sets, params: FeatureParams | None = None) ->
                 f"{name}: channels {sorted(missing)} absent from trace; "
                 "their features are zero-filled"
             )
+    acc = _TracePass(trace)
     values, names = [], []
     for name in sets:
-        v, nm = _extract_one(trace, name, params)
+        v, nm = _SET_BUILDERS[name](acc, params)
         values.append(v)
         names.extend(f"{name}.{n}" for n in nm)
     return FeatureVector(values=np.concatenate(values), names=names,

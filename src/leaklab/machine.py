@@ -36,6 +36,11 @@ from .trace import (
     DataAccess,
     Marker,
     Trace,
+    _ciphertext_diff,
+    _code_fetch,
+    _counter_snapshot,
+    _data_access,
+    _marker_window,
 )
 
 __all__ = [
@@ -283,6 +288,9 @@ def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
 
     All four channels are tracked unconditionally and filtered at the
     end, so disabling one channel can never change what the others see.
+    Events are valid by construction (40-bit pages, lines 0-63, blocks
+    0-255, non-negative counters, a diff only where the plaintext
+    changed), so they skip the per-event validation.
     """
     rng = random.Random(policy.rng_seed)
     attrs = machine.attrs
@@ -302,7 +310,7 @@ def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
 
     def emit_counters():
         nonlocal c_ins, c_uop, c_br, c_tk, c_rt
-        out.append(CounterSnapshot((c_ins, c_uop, c_br, c_tk, c_rt)))
+        out.append(_counter_snapshot((c_ins, c_uop, c_br, c_tk, c_rt)))
         c_ins = c_uop = c_br = c_tk = c_rt = 0
 
     def finalize(win: _PageWindow):
@@ -326,7 +334,7 @@ def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
                 diffs.append((block, base, cur))
         gpn = win.gpn
         for block, base, cur in sorted(diffs):
-            out.append(CiphertextDiff(
+            out.append(_ciphertext_diff(
                 gpn, block,
                 ciphertext_of(machine, gpn, block, base),
                 ciphertext_of(machine, gpn, block, cur),
@@ -383,7 +391,7 @@ def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
                 continue
             if gpn != mapped_code:
                 mapped_code = gpn
-                out.append(CodeFetch(gpn))
+                out.append(_code_fetch(gpn))
                 emit_counters()
         elif kind == BRANCH:
             c_ins += 1
@@ -419,37 +427,30 @@ def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
     events: list = []
     for item in out:
         if type(item) is list:
-            events.append(DataAccess(item[1], item[2]))
+            events.append(_data_access(item[1], item[2]))
         else:
             events.append(item)
 
     # targeted collection keeps only marker-windowed events
     if policy.targeted:
-        kept = []
-        inside = False
-        for ev2 in events:
-            if isinstance(ev2, Marker):
-                inside = ev2.kind == "START"
-                kept.append(ev2)
-            elif inside:
-                kept.append(ev2)
-        events = kept
+        events = _marker_window(events, keep_markers=True)
 
     # channel filtering, applied last so channels cannot interact
     chans = policy.channels
     filtered: list = []
     for ev2 in events:
-        if isinstance(ev2, DataAccess):
+        cls = type(ev2)
+        if cls is DataAccess:
             if "page" not in chans:
                 continue
-            filtered.append(ev2 if "cache" in chans else DataAccess(ev2.gpn, None))
-        elif isinstance(ev2, CodeFetch):
+            filtered.append(ev2 if "cache" in chans else _data_access(ev2.gpn, None))
+        elif cls is CodeFetch:
             if "page" in chans:
                 filtered.append(ev2)
-        elif isinstance(ev2, CiphertextDiff):
+        elif cls is CiphertextDiff:
             if "cipher" in chans:
                 filtered.append(ev2)
-        elif isinstance(ev2, CounterSnapshot):
+        elif cls is CounterSnapshot:
             if "pmc" in chans:
                 filtered.append(ev2)
         else:

@@ -23,7 +23,7 @@ Format summary::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "CodeFetch",
@@ -46,6 +46,7 @@ GPN_LIMIT = 1 << GPN_BITS
 LINES_PER_PAGE = 64
 BLOCKS_PER_PAGE = 256
 BLOCK_BYTES = 16
+_COUNTER_LIMIT = 1 << 64
 
 #: Order of the five sampled performance counters in a PN line.
 COUNTER_NAMES = ("instructions", "uops", "branches", "taken_branches", "returns")
@@ -74,7 +75,7 @@ def _check_gpn(gpn: int) -> None:
         raise TraceError(f"guest page number out of range: {gpn:#x}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodeFetch:
     """The guest executed from a code page it had not mapped."""
 
@@ -84,7 +85,7 @@ class CodeFetch:
         _check_gpn(self.gpn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataAccess:
     """The guest touched a data page absent from the tracked page queue.
 
@@ -104,7 +105,7 @@ class DataAccess:
                     raise TraceError(f"cache line out of range: {ln}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CiphertextDiff:
     """One 16-byte block of a page changed ciphertext while mapped."""
 
@@ -125,7 +126,7 @@ class CiphertextDiff:
             raise TraceError("ciphertext diff with identical before/after")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CounterSnapshot:
     """Performance counters accumulated since the previous emitted event."""
 
@@ -140,7 +141,7 @@ class CounterSnapshot:
                 raise TraceError("counter values must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Marker:
     """Boundary of a targeted-collection window."""
 
@@ -154,7 +155,7 @@ class Marker:
 TraceEvent = CodeFetch | DataAccess | CiphertextDiff | CounterSnapshot | Marker
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """An ordered event list plus collection metadata.
 
@@ -206,6 +207,78 @@ class Trace:
         return windowed_events(self)
 
 
+# Trusted construction.  The parser checks every field before it builds an
+# event, and the collector only makes in-range fields, so both skip the
+# ``__post_init__`` checks.  Filling the slots through their descriptors
+# also skips the frozen-dataclass ``__setattr__``, which costs more than
+# the checks.  Events a caller builds directly are still validated.
+
+_new = object.__new__
+_set_cf_gpn = CodeFetch.gpn.__set__
+_set_da_gpn = DataAccess.gpn.__set__
+_set_da_lines = DataAccess.lines.__set__
+_set_ci_gpn = CiphertextDiff.gpn.__set__
+_set_ci_block = CiphertextDiff.block.__set__
+_set_ci_before = CiphertextDiff.before.__set__
+_set_ci_after = CiphertextDiff.after.__set__
+_set_pn_values = CounterSnapshot.values.__set__
+
+
+def _code_fetch(gpn: int) -> CodeFetch:
+    ev = _new(CodeFetch)
+    _set_cf_gpn(ev, gpn)
+    return ev
+
+
+def _data_access(gpn: int, lines: frozenset[int] | None) -> DataAccess:
+    ev = _new(DataAccess)
+    _set_da_gpn(ev, gpn)
+    _set_da_lines(ev, lines)
+    return ev
+
+
+def _ciphertext_diff(gpn: int, block: int, before: bytes, after: bytes) -> CiphertextDiff:
+    ev = _new(CiphertextDiff)
+    _set_ci_gpn(ev, gpn)
+    _set_ci_block(ev, block)
+    _set_ci_before(ev, before)
+    _set_ci_after(ev, after)
+    return ev
+
+
+def _counter_snapshot(values: tuple[int, int, int, int, int]) -> CounterSnapshot:
+    ev = _new(CounterSnapshot)
+    _set_pn_values(ev, values)
+    return ev
+
+
+def _trace(seed: int, channels: frozenset[str], events: tuple[TraceEvent, ...],
+           num_code_pages: int) -> Trace:
+    tr = _new(Trace)
+    for name, value in (("seed", seed), ("channels", channels),
+                        ("events", events), ("num_code_pages", num_code_pages)):
+        object.__setattr__(tr, name, value)
+    return tr
+
+
+def _marker_window(events, keep_markers: bool) -> list[TraceEvent]:
+    """The events inside START/STOP marker windows, in order.
+
+    Markers themselves are kept only with ``keep_markers``.  Events
+    before the first START are outside every window.
+    """
+    out = []
+    inside = False
+    for ev in events:
+        if type(ev) is Marker:
+            inside = ev.kind == "START"
+            if keep_markers:
+                out.append(ev)
+        elif inside:
+            out.append(ev)
+    return out
+
+
 def windowed_events(trace: Trace) -> list[TraceEvent]:
     """Events considered "observed": inside marker windows if markers exist.
 
@@ -213,15 +286,8 @@ def windowed_events(trace: Trace) -> list[TraceEvent]:
     are excluded from the result; they delimit, they are not observations.
     """
     if not trace.has_markers:
-        return [ev for ev in trace.events]
-    out = []
-    inside = False
-    for ev in trace.events:
-        if isinstance(ev, Marker):
-            inside = ev.kind == "START"
-        elif inside:
-            out.append(ev)
-    return out
+        return list(trace.events)
+    return _marker_window(trace.events, keep_markers=False)
 
 
 def write_trace(trace: Trace) -> str:
@@ -279,6 +345,24 @@ def _parse_uint(tok: str, lineno: int, what: str, limit: int) -> int:
     return val
 
 
+
+def _parse_cache_lines(tok: str, lineno: int) -> frozenset[int]:
+    """An ascending, duplicate-free comma list of cache lines."""
+    try:
+        idxs = list(map(int, tok.split(",")))
+    except ValueError:
+        idxs = None
+    if idxs is not None:
+        lines = frozenset(idxs)
+        if idxs[0] >= 0 and idxs[-1] < LINES_PER_PAGE and idxs == sorted(lines):
+            return lines
+    # a bad list: check it again value by value, to name the first fault
+    idxs = [_parse_uint(t, lineno, "cache line", LINES_PER_PAGE) for t in tok.split(",")]
+    if idxs != sorted(set(idxs)):
+        raise TraceSyntaxError(lineno, "cache line list must be ascending and unique")
+    return frozenset(idxs)
+
+
 def parse_trace(text: str) -> Trace:
     """Parse the text form produced by :func:`write_trace`.
 
@@ -286,102 +370,130 @@ def parse_trace(text: str) -> Trace:
     missing SEED defaults to 0, missing CHANNELS to the empty set, and a
     missing NUM is computed from the events.  ``write_trace(parse_trace(s))
     == s`` holds for canonical ``s``.
+
+    Each line is checked once, here, and its event built without
+    re-validation; the trace invariants are checked in the same pass.
     """
     seed = 0
     num: int | None = None
     channels: frozenset[str] = frozenset()
     events: list[TraceEvent] = []
-    header_done = False
+    append = events.append
+    # PN, CF and MA lines repeat often (a phh trace has about 9k of them
+    # but under 1.6k distinct ones); an event is immutable, so a repeated
+    # line is checked and built once and its event shared
+    seen: dict[str, TraceEvent] = {}
+    cf_pages: set[int] = set()
+    inside = False
+    misnested = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
             continue
-        toks = line.split()
         kind = toks[0]
+        ntok = len(toks)
 
-        if kind in ("SEED", "NUM", "CHANNELS"):
-            if header_done:
+        if kind == "CI":
+            if ntok != 6 or toks[2] != "BK":
+                raise TraceSyntaxError(lineno, "CI takes page, BK, block, before, after")
+            gpn = _parse_gpn(toks[1], lineno)
+            block = _parse_uint(toks[3], lineno, "block index", BLOCKS_PER_PAGE)
+            try:
+                before = bytes.fromhex(toks[4])
+                after = bytes.fromhex(toks[5])
+            except ValueError:
+                raise TraceSyntaxError(lineno, "malformed ciphertext hex") from None
+            if len(before) != BLOCK_BYTES or len(after) != BLOCK_BYTES:
+                raise TraceSyntaxError(lineno, "ciphertexts must be 16 bytes")
+            if before == after:
+                raise TraceSyntaxError(lineno, "ciphertext diff with identical before/after")
+            append(_ciphertext_diff(gpn, block, before, after))
+        elif kind == "PN":
+            ev = seen.get(raw)
+            if ev is None:
+                if ntok != 1 + len(COUNTER_NAMES):
+                    raise TraceSyntaxError(
+                        lineno, f"PN takes {len(COUNTER_NAMES)} counter values"
+                    )
+                try:
+                    vals = tuple(map(int, toks[1:]))
+                except ValueError:
+                    vals = None
+                if vals is None or min(vals) < 0 or max(vals) >= _COUNTER_LIMIT:
+                    # raises, naming the first bad value
+                    vals = tuple(
+                        _parse_uint(t, lineno, "counter", _COUNTER_LIMIT)
+                        for t in toks[1:]
+                    )
+                ev = seen[raw] = _counter_snapshot(vals)
+            append(ev)
+        elif kind == "CF":
+            ev = seen.get(raw)
+            if ev is None:
+                if ntok != 2:
+                    raise TraceSyntaxError(lineno, "CF takes one page number")
+                gpn = _parse_gpn(toks[1], lineno)
+                cf_pages.add(gpn)
+                ev = seen[raw] = _code_fetch(gpn)
+            append(ev)
+        elif kind == "MA":
+            ev = seen.get(raw)
+            if ev is None:
+                if ntok == 2:
+                    ev = _data_access(_parse_gpn(toks[1], lineno), None)
+                elif ntok == 4 and toks[2] == "CL":
+                    gpn = _parse_gpn(toks[1], lineno)
+                    ev = _data_access(gpn, _parse_cache_lines(toks[3], lineno))
+                else:
+                    raise TraceSyntaxError(lineno, "MA takes a page and optional CL list")
+                seen[raw] = ev
+            append(ev)
+        elif kind == "MARK":
+            if ntok != 2 or toks[1] not in ("START", "STOP"):
+                raise TraceSyntaxError(lineno, "MARK takes START or STOP")
+            start = toks[1] == "START"
+            if start == inside:
+                misnested = True
+            inside = start
+            append(Marker(toks[1]))
+        elif kind in ("SEED", "NUM", "CHANNELS"):
+            if events:
                 raise TraceSyntaxError(lineno, f"{kind} header after first event")
             if kind == "SEED":
-                if len(toks) != 2:
+                if ntok != 2:
                     raise TraceSyntaxError(lineno, "SEED takes one value")
                 seed = _parse_uint(toks[1], lineno, "seed", 1 << 64)
             elif kind == "NUM":
-                if len(toks) != 2:
+                if ntok != 2:
                     raise TraceSyntaxError(lineno, "NUM takes one value")
                 num = _parse_uint(toks[1], lineno, "code page count", 1 << 32)
             else:
-                if len(toks) != 2:
+                if ntok != 2:
                     raise TraceSyntaxError(lineno, "CHANNELS takes one comma list")
                 names = toks[1].split(",")
                 for name in names:
                     if name not in CHANNEL_ORDER:
                         raise TraceSyntaxError(lineno, f"unknown channel: {name!r}")
                 channels = frozenset(names)
-            continue
+        else:
+            raise TraceSyntaxError(lineno, f"unknown event kind: {kind!r}")
 
-        header_done = True
-        try:
-            if kind == "CF":
-                if len(toks) != 2:
-                    raise TraceSyntaxError(lineno, "CF takes one page number")
-                events.append(CodeFetch(_parse_gpn(toks[1], lineno)))
-            elif kind == "MA":
-                if len(toks) == 2:
-                    events.append(DataAccess(_parse_gpn(toks[1], lineno)))
-                elif len(toks) == 4 and toks[2] == "CL":
-                    gpn = _parse_gpn(toks[1], lineno)
-                    idxs = [
-                        _parse_uint(t, lineno, "cache line", LINES_PER_PAGE)
-                        for t in toks[3].split(",")
-                    ]
-                    if idxs != sorted(set(idxs)):
-                        raise TraceSyntaxError(
-                            lineno, "cache line list must be ascending and unique"
-                        )
-                    events.append(DataAccess(gpn, frozenset(idxs)))
-                else:
-                    raise TraceSyntaxError(lineno, "MA takes a page and optional CL list")
-            elif kind == "CI":
-                if len(toks) != 6 or toks[2] != "BK":
-                    raise TraceSyntaxError(
-                        lineno, "CI takes page, BK, block, before, after"
-                    )
-                gpn = _parse_gpn(toks[1], lineno)
-                block = _parse_uint(toks[3], lineno, "block index", BLOCKS_PER_PAGE)
-                try:
-                    before = bytes.fromhex(toks[4])
-                    after = bytes.fromhex(toks[5])
-                except ValueError:
-                    raise TraceSyntaxError(lineno, "malformed ciphertext hex") from None
-                if len(before) != BLOCK_BYTES or len(after) != BLOCK_BYTES:
-                    raise TraceSyntaxError(lineno, "ciphertexts must be 16 bytes")
-                events.append(CiphertextDiff(gpn, block, before, after))
-            elif kind == "PN":
-                if len(toks) != 1 + len(COUNTER_NAMES):
-                    raise TraceSyntaxError(
-                        lineno, f"PN takes {len(COUNTER_NAMES)} counter values"
-                    )
-                vals = tuple(
-                    _parse_uint(t, lineno, "counter", 1 << 64) for t in toks[1:]
-                )
-                events.append(CounterSnapshot(vals))
-            elif kind == "MARK":
-                if len(toks) != 2 or toks[1] not in ("START", "STOP"):
-                    raise TraceSyntaxError(lineno, "MARK takes START or STOP")
-                events.append(Marker(toks[1]))
-            else:
-                raise TraceSyntaxError(lineno, f"unknown event kind: {kind!r}")
-        except TraceError as exc:
-            if isinstance(exc, TraceSyntaxError):
-                raise
-            raise TraceSyntaxError(lineno, str(exc)) from None
-
-    try:
-        return Trace(seed=seed, channels=channels, events=tuple(events), num_code_pages=num)
-    except TraceError as exc:
-        raise TraceError(f"invalid trace: {exc}") from None
+    # the invariants Trace.__post_init__ checks, in its order
+    if misnested:
+        raise TraceError("invalid trace: markers must alternate START/STOP")
+    if inside:
+        raise TraceError("invalid trace: unbalanced markers")
+    if num is None:
+        num = len(cf_pages)
+    elif num != len(cf_pages):
+        raise TraceError(
+            f"invalid trace: num_code_pages={num} but trace has "
+            f"{len(cf_pages)} distinct code pages"
+        )
+    return _trace(seed, channels, tuple(events), num)
 
 
 def trace_stats(trace: Trace) -> dict[str, int]:

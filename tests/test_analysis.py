@@ -1,6 +1,8 @@
 """Classifier, advantage protocol, bound, and KS test."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +225,46 @@ def test_ks_against_scipy(rng):
     ref = scipy.stats.ks_2samp(a, b, method="asymp")
     assert abs(ours.statistic - ref.statistic) < 1e-12
     assert abs(ours.pvalue - ref.pvalue) < 0.02
+
+
+def _fit_with_reevaluated_history(monkeypatch, X, y, **kw):
+    """Fit, also recording the loss history by re-running the objective at
+    every iterate the solver reports (how the history used to be kept)."""
+    import scipy.optimize
+
+    minimize = scipy.optimize.minimize
+    reevaluated = []
+
+    def spy(fun, x0, *args, callback, **kwargs):
+        def both(intermediate_result):
+            reevaluated.append(fun(intermediate_result.x)[0])
+            callback(intermediate_result)
+        return minimize(fun, x0, *args, callback=both, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    return train_logreg(X, y, **kw), reevaluated
+
+
+@pytest.mark.parametrize("kind", ["binary", "multinomial", "sparse"])
+def test_loss_history_equals_reevaluated_loss(rng, monkeypatch, kind):
+    if kind == "multinomial":
+        y = rng.integers(0, 4, size=150)
+        X = rng.normal(size=(150, 6))
+        X[np.arange(150), y] += 2.0
+    else:
+        X, y = blobs(rng, n=150, d=6, gap=1.5)
+    if kind == "sparse":
+        X[X < 0.5] = 0.0
+        X = scipy.sparse.csr_matrix(X)
+    model, reevaluated = _fit_with_reevaluated_history(monkeypatch, X, y,
+                                                       l2_lambda=0.1)
+    assert len(model.loss_history) > 3
+    assert model.loss_history == reevaluated
+
+
+def test_cli_import_leaves_optimizer_unloaded():
+    # simulate and --dry-run never fit; scipy.optimize loads on first fit
+    code = "import sys, leaklab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from leaklab.machine import (
@@ -19,6 +20,9 @@ from leaklab.trace import (
     CounterSnapshot,
     DataAccess,
     Marker,
+    TraceSyntaxError,
+    parse_trace,
+    write_trace,
 )
 
 
@@ -401,3 +405,82 @@ def test_unbalanced_workload_markers_rejected(full_policy):
     m.marker_start()
     with pytest.raises(CollectorError):
         collect(m, m.tap, full_policy)
+
+
+def _fuzzed_collection(rng):
+    """A random workload on random pages, collected under a random policy."""
+    m = SimMachine(cipher_seed=int(rng.integers(0, 1 << 32)),
+                   alloc_seed=int(rng.integers(0, 1 << 32)))
+    code = m.alloc_pages(3, "code") + [m.alloc_page("code", encrypted=False)]
+    data = (m.alloc_pages(8) + [m.alloc_page(encrypted=False)]
+            + [m.alloc_page(reserved=True)])
+    m.reset_tap()
+    inside = False
+    for _ in range(int(rng.integers(0, 120))):
+        op = int(rng.integers(0, 7))
+        if op == 0:
+            m.exec_page(code[int(rng.integers(0, len(code)))])
+        elif op in (1, 2):
+            page = data[int(rng.integers(0, len(data)))]
+            off = int(rng.integers(0, 4000))
+            n = int(rng.integers(1, 96))
+            if op == 1:
+                m.read(page, off, n)
+            else:
+                # few distinct byte values, so some writes change nothing
+                m.write(page, off, bytes(rng.integers(0, 2, size=n, dtype=np.uint8)))
+        elif op == 3:
+            m.branch(taken=bool(rng.integers(0, 2)), is_return=bool(rng.integers(0, 2)))
+        elif op in (4, 5):
+            m.step()
+        elif rng.random() < 0.3:
+            m.marker_stop() if inside else m.marker_start()
+            inside = not inside
+    if inside:
+        m.marker_stop()
+    channels = [c for c in ("page", "cache", "cipher", "pmc") if rng.random() < 0.7]
+    if "cache" in channels and "page" not in channels:
+        channels.remove("cache")
+    policy = CollectorPolicy(
+        channels=frozenset(channels or ["pmc"]),
+        data_queue_len=int(rng.integers(1, 5)),
+        skip_unencrypted=bool(rng.integers(0, 2)),
+        skip_reserved=bool(rng.integers(0, 2)),
+        targeted=bool(rng.integers(0, 2)),
+        drop_prob=float(rng.choice([0.0, 0.3])),
+        flip_prob=float(rng.choice([0.0, 0.3])),
+        rng_seed=int(rng.integers(0, 1000)),
+    )
+    return collect(m, m.tap, policy, trace_seed=int(rng.integers(0, 1 << 32)))
+
+
+def test_collected_events_are_valid_by_construction(rng):
+    # the collector skips event validation: its events must still be
+    # exactly what the validating constructors build, and survive a
+    # text round trip through the (validating) parser
+    kinds = set()
+    for _ in range(150):
+        tr = _fuzzed_collection(rng)
+        # the text format cannot express an empty cache-line set (see
+        # test_empty_cache_line_set_round_trips), which line-drop noise makes
+        if not any(type(ev) is DataAccess and ev.lines == frozenset()
+                   for ev in tr.events):
+            assert parse_trace(write_trace(tr)) == tr
+        for ev in tr.events:
+            rebuilt = type(ev)(*(getattr(ev, f.name) for f in dataclasses.fields(ev)))
+            assert rebuilt == ev and hash(rebuilt) == hash(ev)
+            kinds.add(type(ev))
+    assert kinds == {CodeFetch, DataAccess, CiphertextDiff, CounterSnapshot, Marker}
+
+
+@pytest.mark.xfail(strict=True, raises=TraceSyntaxError,
+                   reason="write_trace renders an empty line set as 'MA <gpn> CL', "
+                          "which parse_trace rejects")
+def test_empty_cache_line_set_round_trips():
+    m = SimMachine()
+    p = m.alloc_page()
+    m.reset_tap()
+    m.read(p, 0, 8)
+    drop_all = CollectorPolicy(channels=frozenset(["page", "cache"]), drop_prob=1.0)
+    tr = collect(m, m.tap, drop_all)
+    assert parse_trace(write_trace(tr)) == tr

@@ -20,6 +20,7 @@ from leaklab.trace import (
     write_trace,
 )
 from conftest import random_trace
+from oracle_parse import oracle_parse
 
 
 def test_example_text_round_trip():
@@ -141,6 +142,7 @@ def test_invariants_rejected():
     ("WAT 1\n", 1),
     ("CF a\nSEED 2\n", 2),       # header after event
     ("MA fffffffffff\n", 1),     # gpn too wide
+    ("CI 1 BK 7 " + "ab" * 16 + " " + "ab" * 16 + "\n", 1),  # nothing changed
 ])
 def test_syntax_errors_carry_line_numbers(bad, lineno):
     with pytest.raises(TraceSyntaxError) as exc:
@@ -151,3 +153,69 @@ def test_syntax_errors_carry_line_numbers(bad, lineno):
 def test_unbalanced_markers_in_text_rejected():
     with pytest.raises(TraceError):
         parse_trace("MARK START\nCF a\n")
+
+
+def _outcome(parse, text):
+    """A parse's result, or its exception as (class, line number, message)."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - any divergence is a finding
+        return type(exc), getattr(exc, "lineno", None), str(exc)
+
+
+def test_parse_matches_oracle_on_fuzzed_traces(rng):
+    for _ in range(300):
+        text = write_trace(random_trace(rng, max_events=80))
+        assert _outcome(parse_trace, text) == _outcome(oracle_parse, text)
+
+
+# characters a corrupted line may gain: digits, hex, the separators and
+# prefixes the format gives meaning to, and a few that int() tolerates
+_NOISE = "0123456789abcdefABCDEFxX,#-+_ \t"
+
+
+def _mutate(lines, rng):
+    lines = list(lines)
+    if not lines:
+        return lines
+    i = int(rng.integers(0, len(lines)))
+    op = int(rng.integers(0, 8))
+    line = lines[i]
+    if op == 0:                                   # drop the line
+        del lines[i]
+    elif op == 7:                                 # swap it with another
+        j = int(rng.integers(0, len(lines)))
+        lines[i], lines[j] = lines[j], line
+    elif op == 1:                                 # duplicate it
+        lines.insert(i, line)
+    elif op == 2:                                 # comment it out
+        lines[i] = "# " + line
+    elif op == 3 and line:                        # replace one character
+        j = int(rng.integers(0, len(line)))
+        lines[i] = line[:j] + _NOISE[int(rng.integers(0, len(_NOISE)))] + line[j + 1:]
+    elif op == 4:                                 # insert one character
+        j = int(rng.integers(0, len(line) + 1))
+        lines[i] = line[:j] + _NOISE[int(rng.integers(0, len(_NOISE)))] + line[j:]
+    elif op == 5 and line:                        # cut the line short
+        lines[i] = line[:int(rng.integers(0, len(line)))]
+    else:                                         # drop or repeat a token
+        toks = line.split()
+        if toks:
+            k = int(rng.integers(0, len(toks)))
+            toks[k:k + 1] = [] if rng.random() < 0.5 else [toks[k], toks[k]]
+            lines[i] = " ".join(toks)
+    return lines
+
+
+def test_parse_matches_oracle_on_mutated_texts(rng):
+    failures = 0
+    for _ in range(1500):
+        lines = write_trace(random_trace(rng, max_events=40)).splitlines()
+        for _ in range(int(rng.integers(1, 4))):
+            lines = _mutate(lines, rng)
+        text = "\n".join(lines) + "\n"
+        expected = _outcome(oracle_parse, text)
+        assert _outcome(parse_trace, text) == expected, text
+        failures += not isinstance(expected, Trace)
+    # the mutations must reach the error paths, not only valid texts
+    assert failures > 500
