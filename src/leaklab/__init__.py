@@ -48,9 +48,12 @@ from .machine import (
     CollectorError,
     CollectorPolicy,
     MachineFault,
+    Observation,
     SimMachine,
     ciphertext_of,
     collect,
+    observe,
+    place,
     run_collect,
 )
 from .mitigation import (
@@ -82,7 +85,7 @@ __all__ = [
     "CHANNEL_ORDER",
     # machine
     "SimMachine", "MachineFault", "CollectorError", "CollectorPolicy",
-    "ciphertext_of", "collect", "run_collect",
+    "Observation", "ciphertext_of", "observe", "place", "collect", "run_collect",
     # features
     "FEATURE_SET_NAMES", "FeatureParams", "FeatureVector", "extract_features",
     "TokenSequence", "tokenize", "ngram_hash_matrix",

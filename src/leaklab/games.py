@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import json
 import random
@@ -26,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .machine import CollectorPolicy, SimMachine, run_collect
+from .machine import CollectorPolicy, Observation, SimMachine, observe, place, run_collect
 from .schemas import validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
-from .workloads import PRIME_LADDER, build_workload
+from .workloads import PRIME_LADDER, build_workload, observation_reusable
 
 __all__ = [
     "GameConfig",
@@ -301,6 +300,8 @@ class LabeledDataset:
     def load(cls, directory) -> "LabeledDataset":
         root = Path(directory)
         meta = json.loads((root / "dataset.json").read_text())
+        if GameConfig.from_json(meta["config"]).config_hash() != meta["config_hash"]:
+            raise ValueError(f"{root}: dataset.json config does not match its config_hash")
         entries = []
         with open(root / "manifest.jsonl") as fh:
             for line in fh:
@@ -322,18 +323,58 @@ class LabeledDataset:
 # game runners
 # ---------------------------------------------------------------------------
 
-def _trace_job(cfg: GameConfig, inputs: list, as_text: bool, x, run_seed: int):
-    """Run one game round: the trace text when ``as_text``, else the Trace."""
-    machine = SimMachine(
-        cipher_seed=derive_seed(run_seed, "cipher"),
-        alloc_seed=derive_seed(run_seed, "alloc"),
-    )
-    workload = build_workload(cfg.workload, inputs + [x], derive_seed(run_seed, "workload"))
-    policy = CollectorPolicy.from_json(cfg.policy)
-    if policy.drop_prob or policy.flip_prob:
-        policy = dataclasses.replace(policy, rng_seed=derive_seed(run_seed, "noise"))
-    trace, _ = run_collect(machine, workload, policy, trace_seed=run_seed)
-    return write_trace(trace) if as_text else trace
+class _TraceJob:
+    """One game round per call: the trace text when ``as_text``, else the Trace.
+
+    A run whose observation depends on its inputs alone (see
+    ``observation_reusable``) is simulated once per distinct secret and
+    placed on every later run's layout and key.  The job keeps those
+    observations, so they live as long as one generation, or one pool
+    worker's copy of its job.
+    """
+
+    def __init__(self, cfg: GameConfig, inputs: list, as_text: bool):
+        self.cfg = cfg
+        self.inputs = inputs
+        self.as_text = as_text
+        self.policy = CollectorPolicy.from_json(cfg.policy)
+        self.reusable = observation_reusable(cfg.workload, self.policy)
+        self.observations: dict[str, Observation] = {}
+
+    def __call__(self, x, run_seed: int):
+        cfg, policy = self.cfg, self.policy
+        machine = SimMachine(
+            cipher_seed=derive_seed(run_seed, "cipher"),
+            alloc_seed=derive_seed(run_seed, "alloc"),
+        )
+        run_inputs = self.inputs + [x]
+        workload_seed = derive_seed(run_seed, "workload")
+        if self.reusable:
+            obs = self.observations.get(repr(x))
+            if obs is None:
+                ordinal = SimMachine(alloc_seed=None)
+                build_workload(cfg.workload, run_inputs, workload_seed)(ordinal)
+                obs = self.observations[repr(x)] = observe(ordinal, ordinal.tap, policy)
+            trace = place(obs, machine, run_seed, machine.layout(obs.n_pages))
+        else:
+            if policy.drop_prob or policy.flip_prob:
+                policy = dataclasses.replace(policy, rng_seed=derive_seed(run_seed, "noise"))
+            workload = build_workload(cfg.workload, run_inputs, workload_seed)
+            trace, _ = run_collect(machine, workload, policy, trace_seed=run_seed)
+        return write_trace(trace) if self.as_text else trace
+
+
+# A pool worker's job, set once by the pool initializer.
+_worker_job: _TraceJob | None = None
+
+
+def _init_worker(job: _TraceJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_in_worker(x, run_seed: int):
+    return _worker_job(x, run_seed)
 
 
 def _sybil_list(sybil: dict) -> list:
@@ -369,23 +410,25 @@ def _generate(cfg: GameConfig, inputs: list, plan: list[tuple], meta: dict,
               out_dir, jobs: int, progress) -> LabeledDataset:
     """Run ``plan`` = [(x, label, seed), ...] and store the traces in order.
 
-    Serial and pooled runs map the same job; on-disk runs store its trace
-    text under ``out_dir``, in-memory runs keep its Trace.
+    Serial runs map one job; a pool gives each worker its own copy of it.
+    On-disk runs store the job's trace text under ``out_dir``, in-memory
+    runs keep its Trace.
     """
     if jobs > 1 and out_dir is None:
         raise ValueError("parallel generation requires an output directory")
     root = Path(out_dir) if out_dir is not None else None
     meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(plan),
             "game": cfg.game, "base_seed": cfg.base_seed, **meta}
-    job = functools.partial(_trace_job, cfg, inputs, root is not None)
+    job = _TraceJob(cfg, inputs, root is not None)
     xs, labels, seeds = zip(*plan)
     entries: list[DatasetEntry] = []
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(job, xs, seeds, chunksize=4)
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, initializer=_init_worker, initargs=(job,)))
+            results = pool.map(_run_in_worker, xs, seeds, chunksize=4)
         else:
             results = map(job, xs, seeds)
         if root is not None:

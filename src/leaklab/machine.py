@@ -17,16 +17,26 @@ hypervisor can observe on a memory-encrypted guest:
 * pmc channel   - five performance counters accumulated between emitted
   events.
 
-The collector is a pure function of (raw tap, policy, seed): identical
-inputs give byte-identical traces.
+Collection is two steps.  ``observe`` replays the tap into an
+observation that is free of page layout and memory-encryption key: pages
+keep the machine's numbering and each ciphertext diff holds its two
+plaintext blocks.  ``place`` maps the pages through a run's layout and
+encrypts the diff blocks under the run's key.  Both are pure functions
+of their inputs, so identical inputs give byte-identical traces.  No
+workload or collector decision reads a page number's value, and the
+k-th allocation's page number depends only on ``alloc_seed`` and k; so a
+run whose tap depends on nothing per run can be observed once, on a
+machine that numbers pages 0, 1, 2, ... in allocation order, and placed
+for every run (see ``SimMachine.layout``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .trace import (
     BLOCK_BYTES,
@@ -36,11 +46,13 @@ from .trace import (
     DataAccess,
     Marker,
     Trace,
+    TraceEvent,
     _ciphertext_diff,
     _code_fetch,
     _counter_snapshot,
     _data_access,
     _marker_window,
+    _trace,
 )
 
 __all__ = [
@@ -48,7 +60,10 @@ __all__ = [
     "MachineFault",
     "CollectorError",
     "CollectorPolicy",
+    "Observation",
     "ciphertext_of",
+    "observe",
+    "place",
     "collect",
     "run_collect",
     "PAGE_BYTES",
@@ -81,19 +96,29 @@ class PageAttrs:
     reserved: bool = False
 
 
+def _fresh_gpn(rng: random.Random, taken) -> int:
+    """A random 40-bit page number that is not in ``taken``."""
+    while True:
+        gpn = rng.getrandbits(40)
+        if gpn not in taken:
+            return gpn
+
+
 class SimMachine:
     """A bag of guest pages plus an event tap.
 
     ``cipher_seed`` keys the per-address memory encryption;
     ``alloc_seed`` drives page-number assignment so layouts differ
     between runs the way ASLR and allocator state differ between real
-    processes.
+    processes.  With ``alloc_seed=None`` pages are numbered 0, 1, 2, ...
+    in allocation order, the layout-free numbering of an observation.
     """
 
-    def __init__(self, cipher_seed: int = 0, alloc_seed: int = 0):
+    def __init__(self, cipher_seed: int = 0, alloc_seed: int | None = 0):
         self.cipher_seed = cipher_seed
+        self.alloc_seed = alloc_seed
         self._key = b"ctblk" + cipher_seed.to_bytes(8, "little")
-        self._alloc_rng = random.Random(alloc_seed)
+        self._alloc_rng = None if alloc_seed is None else random.Random(alloc_seed)
         self.pages: dict[int, bytearray] = {}
         self.attrs: dict[int, PageAttrs] = {}
         self.tap: list[tuple] = []
@@ -104,16 +129,31 @@ class SimMachine:
     def alloc_page(self, kind: str = "data", *, encrypted: bool = True,
                    reserved: bool = False) -> int:
         """Allocate one fresh zeroed page, returning its guest page number."""
-        while True:
-            gpn = self._alloc_rng.getrandbits(40)
-            if gpn not in self.pages:
-                break
+        if self._alloc_rng is None:
+            gpn = len(self.pages)
+        else:
+            gpn = _fresh_gpn(self._alloc_rng, self.pages)
         self.pages[gpn] = bytearray(PAGE_BYTES)
         self.attrs[gpn] = PageAttrs(kind=kind, encrypted=encrypted, reserved=reserved)
         return gpn
 
     def alloc_pages(self, n: int, kind: str = "data", **kw) -> list[int]:
         return [self.alloc_page(kind, **kw) for _ in range(n)]
+
+    def layout(self, n: int) -> list[int]:
+        """Page numbers of the first ``n`` allocations under ``alloc_seed``.
+
+        A replay from the seed, whatever this machine has allocated so
+        far: ``layout(n)[k]`` is the page number the k-th ``alloc_page``
+        call returns.
+        """
+        if self.alloc_seed is None:
+            return list(range(n))
+        rng = random.Random(self.alloc_seed)
+        taken: dict[int, None] = {}
+        for _ in range(n):
+            taken[_fresh_gpn(rng, taken)] = None
+        return list(taken)
 
     # -- tap control ---------------------------------------------------
 
@@ -205,8 +245,12 @@ def ciphertext_of(machine: SimMachine, gpn: int, block: int, plaintext: bytes) -
     """
     if len(plaintext) != BLOCK_BYTES:
         raise ValueError(f"plaintext must be {BLOCK_BYTES} bytes")
-    msg = gpn.to_bytes(5, "little") + block.to_bytes(2, "little") + plaintext
+    msg = _block_tweak(gpn, block) + plaintext
     return hashlib.blake2b(msg, digest_size=BLOCK_BYTES, key=machine._key).digest()
+
+
+def _block_tweak(gpn: int, block: int) -> bytes:
+    return gpn.to_bytes(5, "little") + block.to_bytes(2, "little")
 
 
 @dataclass(frozen=True)
@@ -282,24 +326,42 @@ class _PageWindow:
         self.ma = ma  # mutable ["MA", gpn, lines] placeholder in the out list
 
 
-def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
-            trace_seed: int | None = None) -> Trace:
+@dataclass(frozen=True, slots=True)
+class Observation:
+    """A collected run before placement: free of page layout and key.
+
+    ``events`` are the trace's events with pages in the observed
+    machine's numbering and each ``CiphertextDiff`` holding the two
+    plaintext blocks; ``n_pages`` is how many pages that machine
+    allocated.  :func:`place` turns it into one run's trace.
+    """
+
+    channels: frozenset[str]
+    events: tuple[TraceEvent, ...]
+    num_code_pages: int
+    n_pages: int
+
+
+def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> Observation:
     """Replay a raw tap through the collector state machine.
 
     All four channels are tracked unconditionally and filtered at the
     end, so disabling one channel can never change what the others see.
     Events are valid by construction (40-bit pages, lines 0-63, blocks
     0-255, non-negative counters, a diff only where the plaintext
-    changed), so they skip the per-event validation.
+    changed), so they skip the per-event validation.  No decision here
+    reads a page number's value, only its identity.
     """
     rng = random.Random(policy.rng_seed)
     attrs = machine.attrs
     skip_unenc = policy.skip_unencrypted
     skip_res = policy.skip_reserved
+    chans = policy.channels
+    want_diffs = "cipher" in chans
 
     out: list = []  # TraceEvent | mutable MA placeholder
     mapped_code: int | None = None
-    queue: list[_PageWindow] = []
+    queue: deque[_PageWindow] = deque()
     by_gpn: dict[int, _PageWindow] = {}
     step_touched: set[int] = set()
     cap = policy.data_queue_len
@@ -327,21 +389,16 @@ def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
             lines = noisy
         win.ma[2] = frozenset(lines)
         # diff every block written while mapped against its value at fault
-        diffs = []
-        for block, base in win.baseline.items():
-            cur = win.current[block]
-            if cur != base:
-                diffs.append((block, base, cur))
-        gpn = win.gpn
-        for block, base, cur in sorted(diffs):
-            out.append(_ciphertext_diff(
-                gpn, block,
-                ciphertext_of(machine, gpn, block, base),
-                ciphertext_of(machine, gpn, block, cur),
-            ))
+        if want_diffs:
+            gpn = win.gpn
+            baseline, current = win.baseline, win.current
+            for block in sorted(baseline):
+                base, cur = baseline[block], current[block]
+                if cur != base:
+                    out.append(_ciphertext_diff(gpn, block, base, cur))
 
     def evict_front():
-        win = queue.pop(0)
+        win = queue.popleft()
         del by_gpn[win.gpn]
         finalize(win)
 
@@ -423,41 +480,77 @@ def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
         raise CollectorError("unbalanced markers in workload")
     flush_all()
 
-    # freeze MA placeholders
-    events: list = []
-    for item in out:
-        if type(item) is list:
-            events.append(_data_access(item[1], item[2]))
-        else:
-            events.append(item)
-
     # targeted collection keeps only marker-windowed events
     if policy.targeted:
-        events = _marker_window(events, keep_markers=True)
+        out = _marker_window(out, keep_markers=True)
 
-    # channel filtering, applied last so channels cannot interact
-    chans = policy.channels
-    filtered: list = []
-    for ev2 in events:
-        cls = type(ev2)
-        if cls is DataAccess:
-            if "page" not in chans:
-                continue
-            filtered.append(ev2 if "cache" in chans else _data_access(ev2.gpn, None))
+    # freeze MA placeholders and filter channels, applied last so
+    # channels cannot interact
+    page, cache, pmc = "page" in chans, "cache" in chans, "pmc" in chans
+    events: list = []
+    append = events.append
+    cf_pages: set[int] = set()
+    for item in out:
+        cls = type(item)
+        if cls is list:
+            if page:
+                append(_data_access(item[1], item[2] if cache else None))
         elif cls is CodeFetch:
-            if "page" in chans:
-                filtered.append(ev2)
-        elif cls is CiphertextDiff:
-            if "cipher" in chans:
-                filtered.append(ev2)
+            if page:
+                append(item)
+                cf_pages.add(item.gpn)
         elif cls is CounterSnapshot:
-            if "pmc" in chans:
-                filtered.append(ev2)
-        else:
-            filtered.append(ev2)
+            if pmc:
+                append(item)
+        else:  # CiphertextDiff (made only with the cipher channel) or Marker
+            append(item)
+    return Observation(chans, tuple(events), len(cf_pages), len(machine.pages))
 
+
+def place(obs: Observation, machine: SimMachine, trace_seed: int,
+          layout: list[int] | None = None) -> Trace:
+    """The trace an observation gives on one run's layout and key.
+
+    ``layout[k]`` is the page number of the page ``obs`` numbers ``k``
+    (see :meth:`SimMachine.layout`); with ``None`` the observation's own
+    numbering is kept, so code fetches, data accesses and counters pass
+    through untouched.  Each ciphertext diff block is encrypted under
+    ``machine``'s key at its placed address, as :func:`ciphertext_of`
+    does, from one keyed hash state copied per block.
+    """
+    keyed = hashlib.blake2b(digest_size=BLOCK_BYTES, key=machine._key)
+
+    def encrypt(tweak: bytes, plaintext: bytes) -> bytes:
+        h = keyed.copy()
+        h.update(tweak + plaintext)
+        return h.digest()
+
+    events: list = []
+    append = events.append
+    for ev in obs.events:
+        cls = type(ev)
+        if cls is CiphertextDiff:
+            gpn = ev.gpn if layout is None else layout[ev.gpn]
+            tweak = _block_tweak(gpn, ev.block)
+            ev = _ciphertext_diff(gpn, ev.block, encrypt(tweak, ev.before),
+                                  encrypt(tweak, ev.after))
+        elif layout is not None:
+            if cls is DataAccess:
+                ev = _data_access(layout[ev.gpn], ev.lines)
+            elif cls is CodeFetch:
+                ev = _code_fetch(layout[ev.gpn])
+        append(ev)
+    return _trace(trace_seed, obs.channels, tuple(events), obs.num_code_pages)
+
+
+def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
+            trace_seed: int | None = None) -> Trace:
+    """The trace of a raw tap: its observation placed on ``machine`` as is.
+
+    ``trace_seed`` defaults to the policy's ``rng_seed``.
+    """
     seed = policy.rng_seed if trace_seed is None else trace_seed
-    return Trace(seed=seed, channels=chans, events=tuple(filtered))
+    return place(observe(machine, tap, policy), machine, seed)
 
 
 def run_collect(machine: SimMachine, workload, policy: CollectorPolicy,

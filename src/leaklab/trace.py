@@ -13,6 +13,7 @@ Format summary::
     CHANNELS page,cache   # header: channels that were enabled
     CF 1a2b               # code fetch, guest page number in lowercase hex
     MA 141b69 CL 3,60     # data access, optional ascending cache-line list
+    MA 141b6a CL -        # data access whose observed cache-line set is empty
     CI 1f BK 7 <32hex> <32hex>   # ciphertext diff: block, before, after
     PN 5 9 2 1 0          # counter snapshot (5 counters)
     MARK START            # window marker (START/STOP)
@@ -294,8 +295,8 @@ def write_trace(trace: Trace) -> str:
     """Render a trace in canonical text form.
 
     Header lines come in SEED/NUM/CHANNELS order; the CHANNELS line is
-    omitted when no channel is recorded.  Cache-line lists are ascending,
-    hex is lowercase without an 0x prefix.
+    omitted when no channel is recorded.  Cache-line lists are ascending
+    (``-`` for an empty set), hex is lowercase without an 0x prefix.
     """
     lines = [f"SEED {trace.seed}", f"NUM {trace.num_code_pages}"]
     if trace.channels:
@@ -308,7 +309,7 @@ def write_trace(trace: Trace) -> str:
             if ev.lines is None:
                 lines.append(f"MA {ev.gpn:x}")
             else:
-                cl = ",".join(str(i) for i in sorted(ev.lines))
+                cl = ",".join(str(i) for i in sorted(ev.lines)) or "-"
                 lines.append(f"MA {ev.gpn:x} CL {cl}")
         elif isinstance(ev, CiphertextDiff):
             lines.append(
@@ -347,7 +348,9 @@ def _parse_uint(tok: str, lineno: int, what: str, limit: int) -> int:
 
 
 def _parse_cache_lines(tok: str, lineno: int) -> frozenset[int]:
-    """An ascending, duplicate-free comma list of cache lines."""
+    """An ascending, duplicate-free comma list of cache lines, or ``-``."""
+    if tok == "-":
+        return frozenset()
     try:
         idxs = list(map(int, tok.split(",")))
     except ValueError:

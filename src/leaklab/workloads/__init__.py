@@ -8,6 +8,7 @@ configuration shape used by game configs and the command line.
 
 from __future__ import annotations
 
+from ..machine import CollectorPolicy
 from .covert import CovertDecodeError, CovertSender, SecretMessage, covert_decode
 from .hashmap import PRIME_LADDER, SimHashMap
 from .oram import OramPir, PathOram
@@ -30,7 +31,12 @@ __all__ = [
     "covert_decode",
     "CovertDecodeError",
     "build_workload",
+    "observation_reusable",
 ]
+
+# Workload kinds that ``build_workload`` gives no run seed: their tap is
+# a function of the config and the inputs alone.
+_UNSEEDED_KINDS = frozenset({"pir_scan", "pir_hashmap"})
 
 
 def build_workload(cfg: dict, inputs: list, run_seed: int):
@@ -74,3 +80,15 @@ def build_workload(cfg: dict, inputs: list, run_seed: int):
         return HashMapPir(keys, queries=[str(q) for q in inputs],
                           seed=cfg.get("hash_seed", 0))
     raise ValueError(f"unknown workload kind: {kind!r}")
+
+
+def observation_reusable(cfg: dict, policy: CollectorPolicy) -> bool:
+    """Whether a run's observation depends on its inputs alone.
+
+    True when the workload kind takes no run seed and the collector is
+    noiseless (a noisy policy gets a per-run noise seed).  The pages of
+    such an observation are then placed per run, so one observation
+    serves every run with the same inputs.
+    """
+    return (cfg.get("kind") in _UNSEEDED_KINDS
+            and not (policy.drop_prob or policy.flip_prob))

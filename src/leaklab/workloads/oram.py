@@ -76,20 +76,25 @@ class PathOram:
     def _keystream(self, nonce: bytes) -> bytes:
         return hashlib.blake2b(nonce, digest_size=_PAYLOAD, key=self._key).digest()
 
+    def _xor_keystream(self, data: bytes, nonce: bytes) -> bytes:
+        """``data`` XOR the nonce's keystream, on 512-bit integers."""
+        ks = self._keystream(nonce)
+        return (int.from_bytes(data, "little")
+                ^ int.from_bytes(ks, "little")).to_bytes(_PAYLOAD, "little")
+
     def _seal(self, payload: bytes) -> bytes:
         if self.flaw and payload == b"\x00" * _PAYLOAD:
             return payload + b"\x00" * _NONCE
         nonce = bytes(self.rng.integers(0, 256, size=_NONCE, dtype=np.uint8))
         if nonce == b"\x00" * _NONCE:
             nonce = b"\x01" + nonce[1:]
-        ct = bytes(a ^ b for a, b in zip(payload, self._keystream(nonce)))
-        return ct + nonce
+        return self._xor_keystream(payload, nonce) + nonce
 
     def _open(self, slot_bytes: bytes) -> bytes:
         ct, nonce = slot_bytes[:_PAYLOAD], slot_bytes[_PAYLOAD:_PAYLOAD + _NONCE]
         if nonce == b"\x00" * _NONCE:
             return ct
-        return bytes(a ^ b for a, b in zip(ct, self._keystream(nonce)))
+        return self._xor_keystream(ct, nonce)
 
     # -- bucket IO (event-emitting) -----------------------------------------
 

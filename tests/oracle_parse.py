@@ -5,7 +5,8 @@ each field once and built events without re-validation: every event here
 goes through its validating constructor and the trace through
 ``Trace.__post_init__``.  The fast parser must agree with it on every
 input: the same ``Trace``, or the same exception class, line number and
-message.
+message.  It also reads ``CL -``, the form of an empty cache-line set,
+which the format gained after the fast parser.
 """
 
 from leaklab.trace import (
@@ -100,6 +101,8 @@ def oracle_parse(text: str) -> Trace:
             elif kind == "MA":
                 if len(toks) == 2:
                     events.append(DataAccess(_parse_gpn(toks[1], lineno)))
+                elif len(toks) == 4 and toks[2] == "CL" and toks[3] == "-":
+                    events.append(DataAccess(_parse_gpn(toks[1], lineno), frozenset()))
                 elif len(toks) == 4 and toks[2] == "CL":
                     gpn = _parse_gpn(toks[1], lineno)
                     idxs = [

@@ -222,6 +222,27 @@ def test_analyze_usage_errors(capsys, loop_dataset, tmp_path):
     assert code == EXIT_CONFIG and "fingerprint" in err
 
 
+def test_noisy_dataset_with_empty_line_sets_analyzes(capsys, tmp_path):
+    # cache-line drop noise empties line sets; simulate must write them in
+    # a form analyze can load
+    cfg = write_config(tmp_path, {
+        "game": "distinguish",
+        "workload": {"kind": "pir_scan", "db_size": 100},
+        "policy": {"channels": ["page", "cache", "cipher"], "targeted": True,
+                   "cache_noise": {"drop_prob": 0.9}},
+        "x0": 3, "x1": 90, "traces_per_class": 4, "base_seed": 2,
+    })
+    out = tmp_path / "ds"
+    code, _, _ = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert code == EXIT_OK
+    texts = [f.read_text() for f in sorted((out / "traces").iterdir())]
+    assert any(" CL -\n" in t for t in texts)
+    code, rep, _ = run_cli(capsys, "analyze", "--dataset", str(out),
+                           "--sets", "F1,F2", "--trials", "2")
+    assert code == EXIT_OK
+    assert set(rep["results"]["advantage"]["sets"]) == {"F1", "F2", "union"}
+
+
 def test_covert_roundtrip(capsys, tmp_path):
     out = tmp_path / "covert.txt"
     code, rep, _ = run_cli(capsys, "covert", "--text", "attack at dawn",

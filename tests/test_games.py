@@ -1,5 +1,7 @@
 """Game protocols, priors, the bundled universe, and dataset IO."""
 
+import collections
+import dataclasses
 import hashlib
 import json
 
@@ -16,9 +18,21 @@ from leaklab.games import (
     interesting_subset,
     run_distinguishing_game,
     run_fingerprinting_game,
+    _sybil_list,
 )
+from leaklab.machine import CollectorPolicy, SimMachine
 from leaklab.schemas import SchemaError
 from leaklab.trace import write_trace
+from leaklab.workloads import (
+    HashMapPir,
+    HeavyHitters,
+    LinearScanPir,
+    OramPir,
+    SyntheticLoop,
+    build_workload,
+)
+
+from oracle_collect import oracle_collect
 
 LOOP_CFG = dict(
     game="distinguish",
@@ -264,3 +278,108 @@ def test_dataset_load_rejects_bad_label(tmp_path):
     manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     with pytest.raises(SchemaError):
         LabeledDataset.load(tmp_path / "d")
+
+
+def test_dataset_load_rejects_edited_config(tmp_path):
+    cfg = GameConfig.from_json(dict(LOOP_CFG))
+    run_distinguishing_game(cfg, out_dir=tmp_path / "d")
+    meta_path = tmp_path / "d" / "dataset.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["x1"] = 10
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    with pytest.raises(ValueError, match="config_hash"):
+        LabeledDataset.load(tmp_path / "d")
+
+
+# -- observation reuse ---------------------------------------------------------
+
+FULL_POLICY = {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True}
+
+KIND_CFGS = {
+    "phh": dict(workload={"kind": "phh", "eps": 2.0, "delta": 1e-6},
+                x0="a.io", x1="b.io",
+                sybil={"kind": "copies", "value": "c.io", "count": 5}),
+    "phh-mitigated": dict(workload={"kind": "phh", "eps": 2.0, "delta": 1e-6,
+                                    "mitigated": True},
+                          x0="a.io", x1="b.io",
+                          sybil={"kind": "list", "values": ["c.io", "d.io"]}),
+    "synthetic_loop": dict(workload={"kind": "synthetic_loop", "eps": 5.0, "delta": 1e-6},
+                           x0=2, x1=9),
+    "pir_scan": dict(workload={"kind": "pir_scan", "db_size": 200},
+                     x0=13, x1=170, sybil={"kind": "copies", "value": 0, "count": 2}),
+    "pir_scan-noisy": dict(workload={"kind": "pir_scan", "db_size": 200},
+                           policy={**FULL_POLICY, "cache_noise": {"drop_prob": 0.5}},
+                           x0=13, x1=170),
+    "pir_hashmap": dict(workload={"kind": "pir_hashmap", "db_size": 40},
+                        x0="record-00003", x1="missing",
+                        sybil={"kind": "copies", "value": "record-00001", "count": 2}),
+    "pir_oram": dict(workload={"kind": "pir_oram", "db_size": 16, "height": 4,
+                               "zero_value_indices": [3], "flaw": True},
+                     x0=3, x1=9, sybil={"kind": "copies", "value": 5, "count": 2}),
+}
+
+
+def _kind_config(name):
+    return GameConfig.from_json({"game": "distinguish", "policy": FULL_POLICY,
+                                 "traces_per_class": 3, "base_seed": 5,
+                                 **KIND_CFGS[name]})
+
+
+def _oracle_traces(cfg):
+    """Each run on a fresh machine, collected by the one-pass collector."""
+    inputs = _sybil_list(cfg.sybil)
+    out = []
+    for i in range(2 * cfg.traces_per_class):
+        run_seed = derive_seed(cfg.base_seed, "run", i)
+        m = SimMachine(cipher_seed=derive_seed(run_seed, "cipher"),
+                       alloc_seed=derive_seed(run_seed, "alloc"))
+        workload = build_workload(cfg.workload, inputs + [cfg.x1 if i % 2 else cfg.x0],
+                                  derive_seed(run_seed, "workload"))
+        policy = CollectorPolicy.from_json(cfg.policy)
+        if policy.drop_prob or policy.flip_prob:
+            policy = dataclasses.replace(policy, rng_seed=derive_seed(run_seed, "noise"))
+        m.reset_tap()
+        workload(m)
+        out.append(write_trace(oracle_collect(m, m.tap, policy, run_seed)))
+    return out
+
+
+@pytest.mark.parametrize("name", list(KIND_CFGS))
+def test_game_traces_match_oracle_path(tmp_path, name):
+    cfg = _kind_config(name)
+    expected = _oracle_traces(cfg)
+    ds = run_distinguishing_game(cfg)
+    assert [write_trace(e.load()) for e in ds.entries] == expected
+    run_distinguishing_game(cfg, out_dir=tmp_path / "p", jobs=2)
+    files = sorted((tmp_path / "p" / "traces").iterdir())
+    assert [f.read_text() for f in files] == expected
+
+
+@pytest.fixture
+def workload_calls(monkeypatch):
+    """Counts workload runs by class name."""
+    calls = collections.Counter()
+    for cls in (LinearScanPir, HashMapPir, OramPir, SyntheticLoop, HeavyHitters):
+        def counted(self, m, _run=cls.__call__):
+            calls[type(self).__name__] += 1
+            return _run(self, m)
+        monkeypatch.setattr(cls, "__call__", counted)
+    return calls
+
+
+def test_each_generation_simulates_its_own_secrets(workload_calls):
+    cfg = _kind_config("pir_scan")
+    first = run_distinguishing_game(cfg)
+    assert workload_calls == {"LinearScanPir": 2}  # one per distinct secret
+    second = run_distinguishing_game(cfg)
+    assert workload_calls == {"LinearScanPir": 4}
+    assert [write_trace(e.load()) for e in first.entries] == \
+        [write_trace(e.load()) for e in second.entries]
+    run_distinguishing_game(_kind_config("pir_hashmap"))
+    assert workload_calls["HashMapPir"] == 2
+
+
+@pytest.mark.parametrize("name", ["pir_scan-noisy", "pir_oram", "synthetic_loop", "phh"])
+def test_noisy_or_seeded_runs_never_reuse(workload_calls, name):
+    run_distinguishing_game(_kind_config(name))
+    assert sum(workload_calls.values()) == 6

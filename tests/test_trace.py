@@ -48,6 +48,19 @@ def test_example_text_round_trip():
     assert write_trace(tr) == text
 
 
+def test_empty_cache_line_set_text_form():
+    tr = Trace(seed=1, channels=frozenset(["page", "cache"]),
+               events=(DataAccess(0x1F, frozenset()), DataAccess(0x20, frozenset([3]))))
+    text = write_trace(tr)
+    assert text.endswith("MA 1f CL -\nMA 20 CL 3\n")
+    assert parse_trace(text) == oracle_parse(text) == tr
+    for bad in ("MA 1 CL -,3\n", "MA 1 CL --\n", "MA 1 CL 3,-\n"):
+        with pytest.raises(TraceSyntaxError):
+            parse_trace(bad)
+        with pytest.raises(TraceSyntaxError):
+            oracle_parse(bad)
+
+
 def test_comments_and_blank_lines_ignored():
     tr = parse_trace("# hello\n\nSEED 3\nCF a # trailing\n\n")
     assert tr.seed == 3 and tr.events == (CodeFetch(0xA),)

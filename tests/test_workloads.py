@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import leaklab.workloads.phh as phh_mod
-from leaklab.machine import CollectorPolicy, SimMachine, run_collect
+from leaklab.machine import CollectorPolicy, SimMachine, observe, run_collect
 from leaklab.trace import CiphertextDiff, CodeFetch, CounterSnapshot, DataAccess, Trace
 from leaklab.workloads import (
     CovertDecodeError,
@@ -20,8 +20,10 @@ from leaklab.workloads import (
     SecretMessage,
     SimHashMap,
     SyntheticLoop,
+    build_workload,
     covert_decode,
     make_db_values,
+    observation_reusable,
 )
 
 PAGE_POLICY = CollectorPolicy(channels=("page",), targeted=True)
@@ -356,6 +358,16 @@ def test_oram_zero_flaw_stores_raw_zeros():
     assert any(s[:64] != b"\x00" * 64 for s in sealed)
 
 
+def test_oram_seal_is_bytewise_keystream_xor(rng):
+    oram = PathOram(SimMachine(), 4, seed=8)
+    for _ in range(200):
+        payload = bytes(rng.integers(0, 256, size=64, dtype=np.uint8))
+        sealed = oram._seal(payload)
+        ct, nonce = sealed[:64], sealed[64:]
+        assert ct == bytes(a ^ b for a, b in zip(payload, oram._keystream(nonce)))
+        assert oram._open(sealed) == payload
+
+
 def test_oram_pir_responses():
     m = SimMachine(alloc_seed=20)
     db = make_db_values(16, zero_value_indices=[1])
@@ -442,3 +454,34 @@ def test_secret_message_validation():
         SecretMessage(payload=b"")
     with pytest.raises(ValueError):
         SecretMessage(payload=b"x", repetitions=0)
+
+
+# ---------------------------------------------------------------------------
+# observation reuse
+# ---------------------------------------------------------------------------
+
+REUSE_CASES = [
+    ({"kind": "phh", "eps": 2.0, "delta": 1e-6}, ["a.io", "b.io", "a.io"], False),
+    ({"kind": "synthetic_loop", "eps": 5.0, "delta": 1e-6}, [3], False),
+    ({"kind": "pir_oram", "db_size": 16, "height": 4}, [2, 9], False),
+    ({"kind": "pir_scan", "db_size": 150}, [0, 0, 77], True),
+    ({"kind": "pir_hashmap", "db_size": 40}, ["record-00001", "missing"], True),
+]
+
+
+@pytest.mark.parametrize("cfg,inputs,reusable", REUSE_CASES,
+                         ids=[c[0]["kind"] for c in REUSE_CASES])
+def test_reuse_rule_holds(cfg, inputs, reusable):
+    assert observation_reusable(cfg, FULL_POLICY) is reusable
+    noisy = CollectorPolicy(channels=FULL_POLICY.channels, targeted=True, drop_prob=0.1)
+    assert not observation_reusable(cfg, noisy)
+    if not reusable:
+        return
+    # an observation the rule calls reusable is the same under any run seed
+    observations = []
+    for run_seed in (1, 2**62 + 7):
+        m = SimMachine(cipher_seed=run_seed, alloc_seed=None)
+        build_workload(cfg, inputs, run_seed)(m)
+        observations.append(observe(m, m.tap, FULL_POLICY))
+    assert observations[0] == observations[1]
+    assert len(observations[0].events) > 10
