@@ -34,6 +34,7 @@ from .features import (
     extract_features,
     ngram_hash_matrix,
     tokenize,
+    trace_stats,
 )
 from .games import (
     GameConfig,
@@ -50,7 +51,6 @@ from .machine import (
     MachineFault,
     Observation,
     SimMachine,
-    ciphertext_of,
     collect,
     observe,
     place,
@@ -73,22 +73,21 @@ from .trace import (
     Trace,
     TraceSyntaxError,
     parse_trace,
-    trace_stats,
     write_trace,
 )
 
 __all__ = [
     "__version__",
     # trace
-    "Trace", "TraceSyntaxError", "parse_trace", "write_trace", "trace_stats",
+    "Trace", "TraceSyntaxError", "parse_trace", "write_trace",
     "CodeFetch", "DataAccess", "CiphertextDiff", "CounterSnapshot", "Marker",
     "CHANNEL_ORDER",
     # machine
     "SimMachine", "MachineFault", "CollectorError", "CollectorPolicy",
-    "Observation", "ciphertext_of", "observe", "place", "collect", "run_collect",
+    "Observation", "observe", "place", "collect", "run_collect",
     # features
     "FEATURE_SET_NAMES", "FeatureParams", "FeatureVector", "extract_features",
-    "TokenSequence", "tokenize", "ngram_hash_matrix",
+    "trace_stats", "TokenSequence", "tokenize", "ngram_hash_matrix",
     # analysis
     "train_logreg", "LogRegModel", "stratified_split", "SetResult",
     "AdvantageReport", "advantage_from_matrices", "evaluate_advantage",

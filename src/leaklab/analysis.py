@@ -1,8 +1,9 @@
 """Attack evaluation: classifiers, advantage estimates, analytic bounds.
 
 The measurement protocol is the same everywhere: featurize traces, train
-an L2-regularized logistic regression per feature set (and on the union),
-and convert held-out test accuracy into a distinguishing advantage.
+an L2-regularized logistic regression per feature set (and on their union
+when several sets are requested) on seeded stratified splits, and convert
+held-out test accuracy into a distinguishing advantage.
 
 For a balanced two-class game the baseline is 1/2, so::
 
@@ -67,13 +68,8 @@ class LogRegModel:
     grad_norm: float
 
     def _scores(self, X):
-        X = _as_matrix(X)
-        if scipy.sparse.issparse(X):
-            Xs = X.multiply(1.0 / self.scale).tocsr()
-            shift = (self.mean / self.scale) @ self.weights
-            return Xs @ self.weights - shift + self.bias
-        Xs = (X - self.mean) / self.scale
-        return Xs @ self.weights + self.bias
+        Xs, col_shift = _standardize(_as_matrix(X), self.mean, self.scale)
+        return _linear(Xs, col_shift, self.weights) + self.bias
 
     def predict_proba(self, X) -> np.ndarray:
         z = self._scores(X)
@@ -105,6 +101,21 @@ def _standardization(X):
     return m, s
 
 
+def _standardize(X, mean, scale):
+    """``(X - mean) / scale`` and a per-column shift: a sparse ``X`` is only
+    scaled, so that it stays sparse, and :func:`_linear` subtracts its
+    centering ``mean / scale``; for a dense ``X`` the shift is ``None``."""
+    if scipy.sparse.issparse(X):
+        return X.multiply(1.0 / scale).tocsr(), mean / scale
+    return (X - mean) / scale, None
+
+
+def _linear(Xs, col_shift, w):
+    """``Xs @ w`` for a standardized ``Xs``, centered by ``col_shift``."""
+    z = Xs @ w
+    return z if col_shift is None else z - col_shift @ w
+
+
 def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogRegModel:
     """Fit L2-regularized logistic regression with a quasi-Newton solver.
 
@@ -133,26 +144,15 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
         raise ValueError("l2_lambda must be non-negative")
 
     mean, scale = _standardization(X)
-    if scipy.sparse.issparse(X):
-        Xs = X.multiply(1.0 / scale).tocsr()
-        col_shift = mean / scale  # fold centering into the bias column
-    else:
-        Xs = (X - mean) / scale
-        col_shift = None
+    Xs, col_shift = _standardize(X, mean, scale)
     n, d = Xs.shape
-
-    def apply_shift(z, w):
-        # z currently equals Xs @ w for the uncentered sparse matrix
-        if col_shift is None:
-            return z
-        return z - col_shift @ w
 
     if k == 2:
         yb = (y == classes[1]).astype(np.float64)
 
         def objective(theta):
             w, b = theta[:d], theta[d]
-            z = apply_shift(Xs @ w, w) + b
+            z = _linear(Xs, col_shift, w) + b
             # stable log(1 + e^z) - y z
             loss = float(np.mean(np.logaddexp(0.0, z) - yb * z))
             loss += 0.5 * l2_lambda * float(w @ w)
@@ -173,7 +173,7 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
         def objective(theta):
             w = theta[: d * k].reshape(d, k)
             b = theta[d * k:]
-            z = apply_shift(Xs @ w, w) + b
+            z = _linear(Xs, col_shift, w) + b
             zmax = z.max(axis=1, keepdims=True)
             lse = zmax.ravel() + np.log(np.exp(z - zmax).sum(axis=1))
             loss = float(np.mean(lse - z[np.arange(n), yi]))
@@ -295,36 +295,53 @@ class AdvantageReport:
         }
 
 
+def _walk(dataset, featurize) -> tuple[list, list]:
+    """``featurize(trace)`` and the label of every trace, in dataset order."""
+    rows, labels = [], []
+    for trace, label in dataset.iter_labeled():
+        rows.append(featurize(trace))
+        labels.append(label)
+    return rows, labels
+
+
+def _trial_accuracies(X, y, seed: tuple, trials: int, test_frac: float,
+                      l2_lambda: float, iterations: int) -> list[float]:
+    """Held-out accuracy of one classifier per trial.
+
+    Trial ``t`` splits with a generator seeded ``(*seed, t)``, so reports
+    are reproducible and every matrix measured under one seed sees the
+    same splits.
+    """
+    accs = []
+    for trial in range(trials):
+        tr, te = stratified_split(y, test_frac, np.random.default_rng([*seed, trial]))
+        model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda, iterations=iterations)
+        accs.append(model.accuracy(X[te], y[te]))
+    return accs
+
+
 def advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
                             test_frac: float = 0.2, l2_lambda: float = 1.0,
-                            iterations: int = 1000, split_seed: int = 0,
-                            include_union: bool = True) -> AdvantageReport:
+                            iterations: int = 1000, split_seed: int = 0) -> AdvantageReport:
     """Core advantage measurement over precomputed feature matrices.
 
-    One stratified split per trial (seeded, so reports are reproducible),
-    one classifier per feature set per trial, plus a classifier on the
-    column-wise union of all sets.
+    One classifier per feature set per trial, on the stratified splits
+    seeded ``(split_seed, trial)``, plus one on the column-wise union of
+    the sets when there are several.
     """
     y = np.asarray(y)
     mats = {name: _as_matrix(X) for name, X in X_by_set.items()}
-    if include_union and len(mats) > 1:
-        parts = [mats[name] for name in X_by_set]
+    if len(mats) > 1:
+        parts = list(mats.values())
         if any(scipy.sparse.issparse(m) for m in parts):
             mats["union"] = scipy.sparse.hstack(parts, format="csr")
         else:
             mats["union"] = np.hstack(parts)
-    accs: dict[str, list[float]] = {name: [] for name in mats}
-    for trial in range(trials):
-        rng = np.random.default_rng([split_seed, trial])
-        tr, te = stratified_split(y, test_frac, rng)
-        for name, X in mats.items():
-            model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda,
-                                 iterations=iterations)
-            accs[name].append(model.accuracy(X[te], y[te]))
-    n = len(y)
+    fit = (trials, test_frac, l2_lambda, iterations)
     return AdvantageReport(
-        sets={name: SetResult(a) for name, a in accs.items()},
-        trials=trials, n_traces=n,
+        sets={name: SetResult(_trial_accuracies(X, y, (split_seed,), *fit))
+              for name, X in mats.items()},
+        trials=trials, n_traces=len(y),
     )
 
 
@@ -341,11 +358,14 @@ def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
 
     params = params or FeatureParams()
     feature_sets = list(feature_sets)
-    rows, labels = [], []
-    for trace, label in dataset.iter_labeled():
+    fv = None
+
+    def featurize(trace):
+        nonlocal fv
         fv = extract_features(trace, feature_sets, params)
-        rows.append(fv.values)
-        labels.append(label)
+        return fv.values
+
+    rows, labels = _walk(dataset, featurize)
     # split the columns per set; names carry the set as a "F<k>." prefix
     X = np.vstack(rows)
     prefixes = [n.split(".", 1)[0] for n in fv.names]
@@ -359,28 +379,23 @@ def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
 
 
 def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
-                           l2_lambda: float = 1.0, iterations: int = 1000,
-                           max_ngram: int = 3, hash_dim: int = 2 ** 15) -> AdvantageReport:
+                           l2_lambda: float = 1.0, iterations: int = 1000) -> AdvantageReport:
     """Sequence-model advantage: hashed n-gram features over token streams.
 
     Stands in for a recurrent sequence classifier: the trace is tokenized,
-    n-grams (n <= ``max_ngram``) are hash-bucketed into ``hash_dim``
-    counts, and a logistic regression is trained on those counts.  Captures
-    local ordering that the handcrafted count features discard.
+    its n-grams (n <= 3) are hash-bucketed into 2**15 counts by
+    :func:`~leaklab.features.ngram_hash_matrix`, and a logistic regression
+    is trained on those counts.  Captures local ordering that the
+    handcrafted count features discard.
     """
     from .features import ngram_hash_matrix, tokenize
 
-    seqs, labels = [], []
-    for trace, label in dataset.iter_labeled():
-        seqs.append(tokenize(trace).tokens)
-        labels.append(label)
-    X = ngram_hash_matrix(seqs, max_ngram=max_ngram, dim=hash_dim)
-    report = advantage_from_matrices(
-        {"seq": X}, labels, trials=trials, test_frac=test_frac,
-        l2_lambda=l2_lambda, iterations=iterations,
+    seqs, labels = _walk(dataset, lambda trace: tokenize(trace).tokens)
+    return advantage_from_matrices(
+        {"seq": ngram_hash_matrix(seqs)}, labels, trials=trials,
+        test_frac=test_frac, l2_lambda=l2_lambda, iterations=iterations,
         split_seed=getattr(dataset, "base_seed", 0),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -417,40 +432,21 @@ def fingerprint_advantage(dataset, *, params=None, trials: int = 5,
     from .features import FEATURE_SET_NAMES, FeatureParams, extract_features
 
     params = params or FeatureParams()
-    rows, members, identities = [], [], []
-    for trace, label in dataset.iter_labeled():
-        member, ident = label
-        fv = extract_features(trace, FEATURE_SET_NAMES, params)
-        rows.append(fv.values)
-        members.append(int(member))
-        identities.append(int(ident))
+    rows, labels = _walk(
+        dataset, lambda trace: extract_features(trace, FEATURE_SET_NAMES, params).values)
     X = np.vstack(rows)
-    members = np.array(members)
-    identities = np.array(identities)
-    s_c = dataset.s_c
-    s_f = dataset.s_f
-    split_seed = getattr(dataset, "base_seed", 0)
-
-    mem_accs, fp_accs = [], []
+    members = np.array([int(member) for member, _ in labels])
+    identities = np.array([int(ident) for _, ident in labels])
     member_idx = np.flatnonzero(members == 1)
-    for trial in range(trials):
-        rng = np.random.default_rng([split_seed, 101, trial])
-        tr, te = stratified_split(members, test_frac, rng)
-        model = train_logreg(X[tr], members[tr], l2_lambda=l2_lambda,
-                             iterations=iterations)
-        mem_accs.append(model.accuracy(X[te], members[te]))
-
-        rng2 = np.random.default_rng([split_seed, 202, trial])
-        ym = identities[member_idx]
-        trm, tem = stratified_split(ym, test_frac, rng2)
-        model2 = train_logreg(X[member_idx][trm], ym[trm],
-                              l2_lambda=l2_lambda, iterations=iterations)
-        fp_accs.append(model2.accuracy(X[member_idx][tem], ym[tem]))
-
+    split_seed = getattr(dataset, "base_seed", 0)
+    fit = (trials, test_frac, l2_lambda, iterations)
+    mem_accs = _trial_accuracies(X, members, (split_seed, 101), *fit)
+    fp_accs = _trial_accuracies(X[member_idx], identities[member_idx],
+                                (split_seed, 202), *fit)
     return FingerprintReport(
-        membership=SetResult(mem_accs, baseline=s_c),
-        fingerprint=SetResult(fp_accs, baseline=s_f),
-        s_c=s_c, s_f=s_f,
+        membership=SetResult(mem_accs, baseline=dataset.s_c),
+        fingerprint=SetResult(fp_accs, baseline=dataset.s_f),
+        s_c=dataset.s_c, s_f=dataset.s_f,
     )
 
 

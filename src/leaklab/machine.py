@@ -61,7 +61,6 @@ __all__ = [
     "CollectorError",
     "CollectorPolicy",
     "Observation",
-    "ciphertext_of",
     "observe",
     "place",
     "collect",
@@ -234,23 +233,6 @@ class SimMachine:
             yield
         finally:
             self.marker_stop()
-
-
-def ciphertext_of(machine: SimMachine, gpn: int, block: int, plaintext: bytes) -> bytes:
-    """Deterministic per-address block encryption, 16-byte output.
-
-    Keyed by the machine's cipher seed and tweaked by (page, block), so
-    the same plaintext at the same address always encrypts identically
-    while any single-bit change anywhere produces an unrelated block.
-    """
-    if len(plaintext) != BLOCK_BYTES:
-        raise ValueError(f"plaintext must be {BLOCK_BYTES} bytes")
-    msg = _block_tweak(gpn, block) + plaintext
-    return hashlib.blake2b(msg, digest_size=BLOCK_BYTES, key=machine._key).digest()
-
-
-def _block_tweak(gpn: int, block: int) -> bytes:
-    return gpn.to_bytes(5, "little") + block.to_bytes(2, "little")
 
 
 @dataclass(frozen=True)
@@ -514,9 +496,12 @@ def place(obs: Observation, machine: SimMachine, trace_seed: int,
     ``layout[k]`` is the page number of the page ``obs`` numbers ``k``
     (see :meth:`SimMachine.layout`); with ``None`` the observation's own
     numbering is kept, so code fetches, data accesses and counters pass
-    through untouched.  Each ciphertext diff block is encrypted under
-    ``machine``'s key at its placed address, as :func:`ciphertext_of`
-    does, from one keyed hash state copied per block.
+    through untouched.  Each ciphertext diff block is encrypted at its
+    placed address: the 16-byte keyed blake2b digest, under ``machine``'s
+    key, of the page (5 bytes) and block (2 bytes, both little-endian)
+    followed by the plaintext, so the same plaintext at the same address
+    always encrypts identically while any change gives an unrelated
+    block.  The keyed hash state is made once and copied per block.
     """
     keyed = hashlib.blake2b(digest_size=BLOCK_BYTES, key=machine._key)
 
@@ -531,7 +516,7 @@ def place(obs: Observation, machine: SimMachine, trace_seed: int,
         cls = type(ev)
         if cls is CiphertextDiff:
             gpn = ev.gpn if layout is None else layout[ev.gpn]
-            tweak = _block_tweak(gpn, ev.block)
+            tweak = gpn.to_bytes(5, "little") + ev.block.to_bytes(2, "little")
             ev = _ciphertext_diff(gpn, ev.block, encrypt(tweak, ev.before),
                                   encrypt(tweak, ev.after))
         elif layout is not None:

@@ -37,7 +37,6 @@ __all__ = [
     "TraceSyntaxError",
     "parse_trace",
     "write_trace",
-    "trace_stats",
     "windowed_events",
     "COUNTER_NAMES",
 ]
@@ -498,39 +497,3 @@ def parse_trace(text: str) -> Trace:
         )
     return _trace(seed, channels, tuple(events), num)
 
-
-def trace_stats(trace: Trace) -> dict[str, int]:
-    """Event counts over the observed (marker-windowed) portion of a trace.
-
-    Returns totals and distinct counts for code fetches, data accesses,
-    cache lines (distinct means distinct (page, line) pairs) and
-    ciphertext diffs (distinct (page, block) pairs).
-    """
-    total_cf = total_da = total_lines = total_ci = 0
-    cf_pages: set[int] = set()
-    da_pages: set[int] = set()
-    line_keys: set[tuple[int, int]] = set()
-    block_keys: set[tuple[int, int]] = set()
-    for ev in windowed_events(trace):
-        if isinstance(ev, CodeFetch):
-            total_cf += 1
-            cf_pages.add(ev.gpn)
-        elif isinstance(ev, DataAccess):
-            total_da += 1
-            da_pages.add(ev.gpn)
-            if ev.lines is not None:
-                total_lines += len(ev.lines)
-                line_keys.update((ev.gpn, ln) for ln in ev.lines)
-        elif isinstance(ev, CiphertextDiff):
-            total_ci += 1
-            block_keys.add((ev.gpn, ev.block))
-    return {
-        "total_cf": total_cf,
-        "unique_cf": len(cf_pages),
-        "total_da": total_da,
-        "unique_da": len(da_pages),
-        "total_lines": total_lines,
-        "unique_lines": len(line_keys),
-        "total_ci": total_ci,
-        "unique_ci_blocks": len(block_keys),
-    }

@@ -1,7 +1,16 @@
 """Shared fixtures and fuzz generators for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# pytest puts src/ on sys.path (pyproject's pythonpath); the CLI and
+# import tests run child interpreters, which find leaklab the same way
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from leaklab.machine import CollectorPolicy
 from leaklab.trace import (

@@ -1,0 +1,97 @@
+"""The advantage protocol with its trial loops written out, kept as a
+differential oracle.
+
+This is ``leaklab.analysis`` as it was before every analyze path shared
+one dataset walk and one trial loop: ``advantage_from_matrices`` splits
+once per trial and fits every set (and the union of several) on that
+split, and ``fingerprint_advantage`` interleaves the membership split
+seeded ``(split_seed, 101, trial)`` with the identity split seeded
+``(split_seed, 202, trial)``.  The library's reports must equal these,
+``to_json()`` for ``to_json()``.
+"""
+
+import numpy as np
+import scipy.sparse
+
+from leaklab.analysis import (
+    AdvantageReport,
+    FingerprintReport,
+    SetResult,
+    stratified_split,
+    train_logreg,
+)
+from leaklab.features import FEATURE_SET_NAMES, FeatureParams, extract_features
+
+
+def _as_matrix(X):
+    if scipy.sparse.issparse(X):
+        return scipy.sparse.csr_matrix(X, dtype=np.float64)
+    return np.asarray(X, dtype=np.float64)
+
+
+def oracle_advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
+                                   test_frac: float = 0.2, l2_lambda: float = 1.0,
+                                   iterations: int = 1000, split_seed: int = 0,
+                                   include_union: bool = True) -> AdvantageReport:
+    y = np.asarray(y)
+    mats = {name: _as_matrix(X) for name, X in X_by_set.items()}
+    if include_union and len(mats) > 1:
+        parts = [mats[name] for name in X_by_set]
+        if any(scipy.sparse.issparse(m) for m in parts):
+            mats["union"] = scipy.sparse.hstack(parts, format="csr")
+        else:
+            mats["union"] = np.hstack(parts)
+    accs: dict[str, list[float]] = {name: [] for name in mats}
+    for trial in range(trials):
+        rng = np.random.default_rng([split_seed, trial])
+        tr, te = stratified_split(y, test_frac, rng)
+        for name, X in mats.items():
+            model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda,
+                                 iterations=iterations)
+            accs[name].append(model.accuracy(X[te], y[te]))
+    n = len(y)
+    return AdvantageReport(
+        sets={name: SetResult(a) for name, a in accs.items()},
+        trials=trials, n_traces=n,
+    )
+
+
+def oracle_fingerprint_advantage(dataset, *, params=None, trials: int = 5,
+                                 test_frac: float = 0.2, l2_lambda: float = 1.0,
+                                 iterations: int = 1000) -> FingerprintReport:
+    params = params or FeatureParams()
+    rows, members, identities = [], [], []
+    for trace, label in dataset.iter_labeled():
+        member, ident = label
+        fv = extract_features(trace, FEATURE_SET_NAMES, params)
+        rows.append(fv.values)
+        members.append(int(member))
+        identities.append(int(ident))
+    X = np.vstack(rows)
+    members = np.array(members)
+    identities = np.array(identities)
+    s_c = dataset.s_c
+    s_f = dataset.s_f
+    split_seed = getattr(dataset, "base_seed", 0)
+
+    mem_accs, fp_accs = [], []
+    member_idx = np.flatnonzero(members == 1)
+    for trial in range(trials):
+        rng = np.random.default_rng([split_seed, 101, trial])
+        tr, te = stratified_split(members, test_frac, rng)
+        model = train_logreg(X[tr], members[tr], l2_lambda=l2_lambda,
+                             iterations=iterations)
+        mem_accs.append(model.accuracy(X[te], members[te]))
+
+        rng2 = np.random.default_rng([split_seed, 202, trial])
+        ym = identities[member_idx]
+        trm, tem = stratified_split(ym, test_frac, rng2)
+        model2 = train_logreg(X[member_idx][trm], ym[trm],
+                              l2_lambda=l2_lambda, iterations=iterations)
+        fp_accs.append(model2.accuracy(X[member_idx][tem], ym[tem]))
+
+    return FingerprintReport(
+        membership=SetResult(mem_accs, baseline=s_c),
+        fingerprint=SetResult(fp_accs, baseline=s_f),
+        s_c=s_c, s_f=s_f,
+    )

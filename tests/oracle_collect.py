@@ -2,13 +2,15 @@
 
 This is ``leaklab.machine.collect`` as it was before collection split
 into a layout- and key-free observation and its placement: it encrypts
-every ciphertext diff as it is made, keeps the page FIFO in a list, and
-builds every event through its validating constructor and the trace
-through ``Trace.__post_init__``.  ``collect`` must give an equal
-``Trace`` for every tap and policy, and a game run must give the trace
-this collector gives on a fresh machine for that run.
+every ciphertext diff as it is made, with one keyed hash per block
+(:func:`ciphertext_of`), keeps the page FIFO in a list, and builds every
+event through its validating constructor and the trace through
+``Trace.__post_init__``.  ``collect`` must give an equal ``Trace`` for
+every tap and policy, and a game run must give the trace this collector
+gives on a fresh machine for that run.
 """
 
+import hashlib
 import random
 
 from leaklab.machine import (
@@ -21,9 +23,9 @@ from leaklab.machine import (
     CollectorError,
     CollectorPolicy,
     SimMachine,
-    ciphertext_of,
 )
 from leaklab.trace import (
+    BLOCK_BYTES,
     CiphertextDiff,
     CodeFetch,
     CounterSnapshot,
@@ -31,6 +33,19 @@ from leaklab.trace import (
     Marker,
     Trace,
 )
+
+
+def ciphertext_of(machine: SimMachine, gpn: int, block: int, plaintext: bytes) -> bytes:
+    """Deterministic per-address block encryption, 16-byte output.
+
+    Keyed by the machine's cipher seed and tweaked by (page, block), so
+    the same plaintext at the same address always encrypts identically
+    while any single-bit change anywhere produces an unrelated block.
+    """
+    if len(plaintext) != BLOCK_BYTES:
+        raise ValueError(f"plaintext must be {BLOCK_BYTES} bytes")
+    msg = gpn.to_bytes(5, "little") + block.to_bytes(2, "little") + plaintext
+    return hashlib.blake2b(msg, digest_size=BLOCK_BYTES, key=machine._key).digest()
 
 
 class _PageWindow:

@@ -13,10 +13,23 @@ from leaklab.analysis import (
     advantage_from_matrices,
     dp_bound,
     dp_bound_useful,
+    evaluate_advantage,
+    evaluate_seq_advantage,
+    fingerprint_advantage,
     ks_test,
     stratified_split,
     train_logreg,
 )
+from leaklab.features import (
+    FEATURE_SET_NAMES,
+    FeatureParams,
+    extract_features,
+    ngram_hash_matrix,
+    tokenize,
+)
+from leaklab.games import GameConfig, run_distinguishing_game, run_fingerprinting_game
+
+from oracle_analysis import oracle_advantage_from_matrices, oracle_fingerprint_advantage
 
 
 def blobs(rng, n=200, d=6, gap=6.0):
@@ -184,6 +197,56 @@ def test_advantage_report_deterministic(rng):
     r2 = advantage_from_matrices({"a": X}, y, trials=3, split_seed=5)
     assert r1.sets["a"].accuracies == r2.sets["a"].accuracies
     assert r1.to_json() == r2.to_json()
+
+
+# Small in-memory datasets whose accuracies vary from split to split, so
+# that a report taken on other splits, or without a set, differs.
+_FIT = {"trials": 3, "test_frac": 0.2, "l2_lambda": 1.0, "iterations": 1000}
+
+
+@pytest.fixture(scope="module")
+def scan_dataset():
+    return run_distinguishing_game(GameConfig.from_json({
+        "game": "distinguish",
+        "workload": {"kind": "pir_scan", "db_size": 256},
+        "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True,
+                   "cache_noise": {"drop_prob": 0.2}},
+        "x0": 17, "x1": 200, "traces_per_class": 10, "base_seed": 5,
+    }))
+
+
+def test_evaluate_advantage_matches_oracle(scan_dataset):
+    # dense sets and their union, on the splits seeded (base_seed, trial)
+    traces, labels = zip(*scan_dataset.iter_labeled())
+    X_by_set = {name: np.vstack([extract_features(t, [name]).values for t in traces])
+                for name in FEATURE_SET_NAMES}
+    want = oracle_advantage_from_matrices(X_by_set, labels, split_seed=5, **_FIT)
+    got = evaluate_advantage(scan_dataset, FEATURE_SET_NAMES, **_FIT)
+    assert got.to_json() == want.to_json()
+    assert advantage_from_matrices(X_by_set, labels, split_seed=5, **_FIT).to_json() \
+        == want.to_json()
+
+
+def test_evaluate_seq_advantage_matches_oracle(scan_dataset):
+    traces, labels = zip(*scan_dataset.iter_labeled())
+    X = ngram_hash_matrix([tokenize(t).tokens for t in traces])
+    want = oracle_advantage_from_matrices({"seq": X}, labels, split_seed=5, **_FIT)
+    assert evaluate_seq_advantage(scan_dataset, **_FIT).to_json() == want.to_json()
+
+
+def test_fingerprint_advantage_matches_oracle():
+    ds = run_fingerprinting_game(GameConfig.from_json({
+        "game": "fingerprint",
+        "workload": {"kind": "phh", "eps": 2.0, "delta": 1e-6, "mitigated": True},
+        "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True},
+        "n_traces": 30, "base_seed": 31,
+        "prior": {"kind": "table",
+                  "table": {"a.io": 4, "b.io": 3, "c.com": 3, "d.com": 2}},
+        "interest": {"kind": "list", "values": ["a.io", "b.io", "c.com"]},
+    }))
+    params = FeatureParams(m_cf=16, m_da=32)
+    want = oracle_fingerprint_advantage(ds, params=params, **_FIT)
+    assert fingerprint_advantage(ds, params=params, **_FIT).to_json() == want.to_json()
 
 
 def test_dp_bound_anchor():

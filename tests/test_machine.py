@@ -10,7 +10,6 @@ from leaklab.machine import (
     CollectorError,
     MachineFault,
     SimMachine,
-    ciphertext_of,
     collect,
     observe,
     place,
@@ -26,7 +25,7 @@ from leaklab.trace import (
     write_trace,
 )
 
-from oracle_collect import oracle_collect
+from oracle_collect import ciphertext_of, oracle_collect
 
 
 def only(events, cls):

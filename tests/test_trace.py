@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaklab.features import trace_stats
 from leaklab.trace import (
     CiphertextDiff,
     CodeFetch,
@@ -15,7 +16,6 @@ from leaklab.trace import (
     TraceError,
     TraceSyntaxError,
     parse_trace,
-    trace_stats,
     windowed_events,
     write_trace,
 )
