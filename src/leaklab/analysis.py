@@ -68,8 +68,7 @@ class LogRegModel:
     grad_norm: float
 
     def _scores(self, X):
-        Xs, col_shift = _standardize(_as_matrix(X), self.mean, self.scale)
-        return _linear(Xs, col_shift, self.weights) + self.bias
+        return _standardize(_as_matrix(X), self.mean, self.scale) @ self.weights + self.bias
 
     def predict_proba(self, X) -> np.ndarray:
         z = self._scores(X)
@@ -102,18 +101,11 @@ def _standardization(X):
 
 
 def _standardize(X, mean, scale):
-    """``(X - mean) / scale`` and a per-column shift: a sparse ``X`` is only
-    scaled, so that it stays sparse, and :func:`_linear` subtracts its
-    centering ``mean / scale``; for a dense ``X`` the shift is ``None``."""
+    """``(X - mean) / scale``: a sparse ``X`` has a zero ``mean`` (see
+    :func:`_standardization`) and is only scaled, so that it stays sparse."""
     if scipy.sparse.issparse(X):
-        return X.multiply(1.0 / scale).tocsr(), mean / scale
-    return (X - mean) / scale, None
-
-
-def _linear(Xs, col_shift, w):
-    """``Xs @ w`` for a standardized ``Xs``, centered by ``col_shift``."""
-    z = Xs @ w
-    return z if col_shift is None else z - col_shift @ w
+        return X.multiply(1.0 / scale).tocsr()
+    return (X - mean) / scale
 
 
 def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogRegModel:
@@ -144,7 +136,7 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
         raise ValueError("l2_lambda must be non-negative")
 
     mean, scale = _standardization(X)
-    Xs, col_shift = _standardize(X, mean, scale)
+    Xs = _standardize(X, mean, scale)
     n, d = Xs.shape
 
     if k == 2:
@@ -152,15 +144,13 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
 
         def objective(theta):
             w, b = theta[:d], theta[d]
-            z = _linear(Xs, col_shift, w) + b
+            z = Xs @ w + b
             # stable log(1 + e^z) - y z
             loss = float(np.mean(np.logaddexp(0.0, z) - yb * z))
             loss += 0.5 * l2_lambda * float(w @ w)
             r = 1.0 / (1.0 + np.exp(-z)) - yb
             gw = (Xs.T @ r) / n
             gw = np.asarray(gw).ravel()
-            if col_shift is not None:
-                gw -= col_shift * r.mean()
             gw += l2_lambda * w
             return loss, np.concatenate([gw, [r.mean()]])
 
@@ -173,7 +163,7 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
         def objective(theta):
             w = theta[: d * k].reshape(d, k)
             b = theta[d * k:]
-            z = _linear(Xs, col_shift, w) + b
+            z = Xs @ w + b
             zmax = z.max(axis=1, keepdims=True)
             lse = zmax.ravel() + np.log(np.exp(z - zmax).sum(axis=1))
             loss = float(np.mean(lse - z[np.arange(n), yi]))
@@ -182,8 +172,6 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
             r = (p - onehot) / n
             gw = Xs.T @ r
             gw = np.asarray(gw)
-            if col_shift is not None:
-                gw -= np.outer(col_shift, r.sum(axis=0))
             gw += l2_lambda * w
             return loss, np.concatenate([gw.ravel(), r.sum(axis=0)])
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .machine import CollectorPolicy, Observation, SimMachine, observe, place, run_collect
+from .machine import CollectorPolicy, Observation, SimMachine, observe, place
 from .schemas import validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
 from .workloads import PRIME_LADDER, build_workload, observation_reusable
@@ -326,10 +326,12 @@ class LabeledDataset:
 class _TraceJob:
     """One game round per call: the trace text when ``as_text``, else the Trace.
 
-    A run whose observation depends on its inputs alone (see
-    ``observation_reusable``) is simulated once per distinct secret and
-    placed on every later run's layout and key.  The job keeps those
-    observations, so they live as long as one generation, or one pool
+    Each round builds its run's machine, simulates the workload and
+    observes it there, and places the observation on that machine.  A
+    run whose observation depends on its inputs alone (see
+    ``observation_reusable``) is simulated once per distinct secret: the
+    job keeps those observations and places them on every later run's
+    machine, so they live as long as one generation, or one pool
     worker's copy of its job.
     """
 
@@ -342,25 +344,21 @@ class _TraceJob:
         self.observations: dict[str, Observation] = {}
 
     def __call__(self, x, run_seed: int):
-        cfg, policy = self.cfg, self.policy
         machine = SimMachine(
             cipher_seed=derive_seed(run_seed, "cipher"),
             alloc_seed=derive_seed(run_seed, "alloc"),
         )
-        run_inputs = self.inputs + [x]
-        workload_seed = derive_seed(run_seed, "workload")
-        if self.reusable:
-            obs = self.observations.get(repr(x))
-            if obs is None:
-                ordinal = SimMachine(alloc_seed=None)
-                build_workload(cfg.workload, run_inputs, workload_seed)(ordinal)
-                obs = self.observations[repr(x)] = observe(ordinal, ordinal.tap, policy)
-            trace = place(obs, machine, run_seed, machine.layout(obs.n_pages))
-        else:
+        obs = self.observations.get(repr(x))
+        if obs is None:
+            policy = self.policy
             if policy.drop_prob or policy.flip_prob:
                 policy = dataclasses.replace(policy, rng_seed=derive_seed(run_seed, "noise"))
-            workload = build_workload(cfg.workload, run_inputs, workload_seed)
-            trace, _ = run_collect(machine, workload, policy, trace_seed=run_seed)
+            workload_seed = derive_seed(run_seed, "workload")
+            build_workload(self.cfg.workload, self.inputs + [x], workload_seed)(machine)
+            obs = observe(machine, machine.tap, policy)
+            if self.reusable:
+                self.observations[repr(x)] = obs
+        trace = place(obs, machine, run_seed)
         return write_trace(trace) if self.as_text else trace
 
 

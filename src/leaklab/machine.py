@@ -17,17 +17,18 @@ hypervisor can observe on a memory-encrypted guest:
 * pmc channel   - five performance counters accumulated between emitted
   events.
 
-Collection is two steps.  ``observe`` replays the tap into an
-observation that is free of page layout and memory-encryption key: pages
-keep the machine's numbering and each ciphertext diff holds its two
-plaintext blocks.  ``place`` maps the pages through a run's layout and
-encrypts the diff blocks under the run's key.  Both are pure functions
-of their inputs, so identical inputs give byte-identical traces.  No
-workload or collector decision reads a page number's value, and the
-k-th allocation's page number depends only on ``alloc_seed`` and k; so a
-run whose tap depends on nothing per run can be observed once, on a
-machine that numbers pages 0, 1, 2, ... in allocation order, and placed
-for every run (see ``SimMachine.layout``).
+Collection is two steps.  ``observe`` replays the tap, in one pass, into
+an observation that is free of the memory-encryption key: each
+ciphertext diff holds its two plaintext blocks, and the observation
+lists the observing machine's pages in allocation order.  ``place``
+gives the observation's k-th page the number of a run machine's k-th
+allocation (see ``SimMachine.layout``) and encrypts the diff blocks
+under that machine's key.  Both are pure functions of their inputs, so
+identical inputs give byte-identical traces.  No workload or collector
+decision reads a page number's value, and the k-th allocation's page
+number depends only on ``alloc_seed`` and k; so a run whose tap depends
+on nothing per run can be observed once, on any machine, and placed for
+every run.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .trace import (
     _code_fetch,
     _counter_snapshot,
     _data_access,
-    _marker_window,
     _trace,
 )
 
@@ -109,29 +109,24 @@ class SimMachine:
     ``cipher_seed`` keys the per-address memory encryption;
     ``alloc_seed`` drives page-number assignment so layouts differ
     between runs the way ASLR and allocator state differ between real
-    processes.  With ``alloc_seed=None`` pages are numbered 0, 1, 2, ...
-    in allocation order, the layout-free numbering of an observation.
+    processes.
     """
 
-    def __init__(self, cipher_seed: int = 0, alloc_seed: int | None = 0):
+    def __init__(self, cipher_seed: int = 0, alloc_seed: int = 0):
         self.cipher_seed = cipher_seed
         self.alloc_seed = alloc_seed
         self._key = b"ctblk" + cipher_seed.to_bytes(8, "little")
-        self._alloc_rng = None if alloc_seed is None else random.Random(alloc_seed)
+        self._alloc_rng = random.Random(alloc_seed)
         self.pages: dict[int, bytearray] = {}
         self.attrs: dict[int, PageAttrs] = {}
         self.tap: list[tuple] = []
-        self._tracing = True
 
     # -- allocation ----------------------------------------------------
 
     def alloc_page(self, kind: str = "data", *, encrypted: bool = True,
                    reserved: bool = False) -> int:
         """Allocate one fresh zeroed page, returning its guest page number."""
-        if self._alloc_rng is None:
-            gpn = len(self.pages)
-        else:
-            gpn = _fresh_gpn(self._alloc_rng, self.pages)
+        gpn = _fresh_gpn(self._alloc_rng, self.pages)
         self.pages[gpn] = bytearray(PAGE_BYTES)
         self.attrs[gpn] = PageAttrs(kind=kind, encrypted=encrypted, reserved=reserved)
         return gpn
@@ -146,8 +141,6 @@ class SimMachine:
         far: ``layout(n)[k]`` is the page number the k-th ``alloc_page``
         call returns.
         """
-        if self.alloc_seed is None:
-            return list(range(n))
         rng = random.Random(self.alloc_seed)
         taken: dict[int, None] = {}
         for _ in range(n):
@@ -159,17 +152,12 @@ class SimMachine:
     def reset_tap(self) -> None:
         self.tap = []
 
-    def set_tracing(self, enabled: bool) -> None:
-        """Disable to run workload logic without recording events."""
-        self._tracing = enabled
-
     # -- guest actions -------------------------------------------------
 
     def exec_page(self, gpn: int) -> None:
         if gpn not in self.pages:
             raise MachineFault(f"execute of unallocated page {gpn:#x}")
-        if self._tracing:
-            self.tap.append((EXEC, gpn))
+        self.tap.append((EXEC, gpn))
 
     def read(self, gpn: int, offset: int, length: int) -> bytes:
         mem = self.pages.get(gpn)
@@ -180,10 +168,9 @@ class SimMachine:
             raise MachineFault(
                 f"read out of bounds: page {gpn:#x} offset {offset} length {length}"
             )
-        if self._tracing:
-            tap = self.tap
-            for line in range(offset >> 6, (end - 1 >> 6) + 1):
-                tap.append((READ, gpn, line))
+        tap = self.tap
+        for line in range(offset >> 6, (end - 1 >> 6) + 1):
+            tap.append((READ, gpn, line))
         return bytes(mem[offset:end])
 
     def write(self, gpn: int, offset: int, data: bytes) -> None:
@@ -196,9 +183,6 @@ class SimMachine:
                 f"write out of bounds: page {gpn:#x} offset {offset} "
                 f"length {len(data)}"
             )
-        if not self._tracing:
-            mem[offset:end] = data
-            return
         first_b = offset >> 4
         last_b = end - 1 >> 4
         olds = [bytes(mem[b << 4:(b << 4) + BLOCK_BYTES])
@@ -210,21 +194,17 @@ class SimMachine:
             tap.append((WRITE, gpn, b >> 2, b, old, new))
 
     def branch(self, taken: bool, is_return: bool = False) -> None:
-        if self._tracing:
-            self.tap.append((BRANCH, taken, is_return))
+        self.tap.append((BRANCH, taken, is_return))
 
     def step(self) -> None:
         """End of one workload step (roughly: one guest instruction retires)."""
-        if self._tracing:
-            self.tap.append((STEP,))
+        self.tap.append((STEP,))
 
     def marker_start(self) -> None:
-        if self._tracing:
-            self.tap.append((MARK, "START"))
+        self.tap.append((MARK, "START"))
 
     def marker_stop(self) -> None:
-        if self._tracing:
-            self.tap.append((MARK, "STOP"))
+        self.tap.append((MARK, "STOP"))
 
     @contextmanager
     def marked(self):
@@ -298,50 +278,60 @@ class CollectorPolicy:
 class _PageWindow:
     """Per-mapped-data-page state between fault and eviction."""
 
-    __slots__ = ("gpn", "lines", "baseline", "current", "ma")
+    __slots__ = ("gpn", "lines", "baseline", "current", "slot")
 
-    def __init__(self, gpn: int, ma: list):
+    def __init__(self, gpn: int, slot: int | None):
         self.gpn = gpn
         self.lines: set[int] = set()
         self.baseline: dict[int, bytes] = {}
         self.current: dict[int, bytes] = {}
-        self.ma = ma  # mutable ["MA", gpn, lines] placeholder in the out list
+        self.slot = slot  # index of its DataAccess in the output, if kept
 
 
 @dataclass(frozen=True, slots=True)
 class Observation:
-    """A collected run before placement: free of page layout and key.
+    """A collected run before placement: free of the encryption key.
 
-    ``events`` are the trace's events with pages in the observed
+    ``events`` are the trace's events with pages in the observing
     machine's numbering and each ``CiphertextDiff`` holding the two
-    plaintext blocks; ``n_pages`` is how many pages that machine
-    allocated.  :func:`place` turns it into one run's trace.
+    plaintext blocks; ``pages`` are that machine's page numbers in
+    allocation order.  :func:`place` turns it into one run's trace.
     """
 
     channels: frozenset[str]
     events: tuple[TraceEvent, ...]
     num_code_pages: int
-    n_pages: int
+    pages: tuple[int, ...]
 
 
 def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> Observation:
-    """Replay a raw tap through the collector state machine.
+    """Replay a raw tap through the collector state machine, in one pass.
 
-    All four channels are tracked unconditionally and filtered at the
-    end, so disabling one channel can never change what the others see.
-    Events are valid by construction (40-bit pages, lines 0-63, blocks
-    0-255, non-negative counters, a diff only where the plaintext
-    changed), so they skip the per-event validation.  No decision here
-    reads a page number's value, only its identity.
+    Each event is made in its final form where it happens: a data access
+    reserves its slot when its page faults and is filled in at eviction.
+    Channel and marker-window filtering decide there whether an event is
+    made at all, so a targeted policy builds nothing outside its windows.
+    The state machine itself runs in full for every channel and window,
+    and every page window takes its noise draws, so neither a channel nor
+    targeting can change what the rest sees.  Events are valid by
+    construction (40-bit pages, lines 0-63, blocks 0-255, non-negative
+    counters, a diff only where the plaintext changed), so they skip the
+    per-event validation.  No decision here reads a page number's value,
+    only its identity.
     """
     rng = random.Random(policy.rng_seed)
     attrs = machine.attrs
     skip_unenc = policy.skip_unencrypted
     skip_res = policy.skip_reserved
     chans = policy.channels
-    want_diffs = "cipher" in chans
+    page, cache, cipher, pmc = (c in chans for c in ("page", "cache", "cipher", "pmc"))
+    noisy = policy.drop_prob or policy.flip_prob
+    targeted = policy.targeted
 
-    out: list = []  # TraceEvent | mutable MA placeholder
+    events: list = []
+    append = events.append
+    keep = not targeted  # whether events made now are kept
+    cf_pages: set[int] = set()
     mapped_code: int | None = None
     queue: deque[_PageWindow] = deque()
     by_gpn: dict[int, _PageWindow] = {}
@@ -354,30 +344,34 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
 
     def emit_counters():
         nonlocal c_ins, c_uop, c_br, c_tk, c_rt
-        out.append(_counter_snapshot((c_ins, c_uop, c_br, c_tk, c_rt)))
+        if pmc and keep:
+            append(_counter_snapshot((c_ins, c_uop, c_br, c_tk, c_rt)))
         c_ins = c_uop = c_br = c_tk = c_rt = 0
 
     def finalize(win: _PageWindow):
-        # attach the line set observed while mapped, through the noise model
+        # A marker flushes every window, so one lives inside a single
+        # marker region and ``keep`` is still what it was at its fault.
+        # The line set observed while mapped goes through the noise model.
         lines = win.lines
-        if policy.drop_prob or policy.flip_prob:
-            noisy = set()
+        if noisy:
+            noisy_lines = set()
             for ln in sorted(lines):
                 if policy.drop_prob and rng.random() < policy.drop_prob:
                     continue
                 if policy.flip_prob and rng.random() < policy.flip_prob:
                     ln = rng.randrange(64)
-                noisy.add(ln)
-            lines = noisy
-        win.ma[2] = frozenset(lines)
+                noisy_lines.add(ln)
+            lines = noisy_lines
+        if win.slot is not None:
+            events[win.slot] = _data_access(win.gpn, frozenset(lines) if cache else None)
         # diff every block written while mapped against its value at fault
-        if want_diffs:
+        if cipher and keep:
             gpn = win.gpn
             baseline, current = win.baseline, win.current
             for block in sorted(baseline):
                 base, cur = baseline[block], current[block]
                 if cur != base:
-                    out.append(_ciphertext_diff(gpn, block, base, cur))
+                    append(_ciphertext_diff(gpn, block, base, cur))
 
     def evict_front():
         win = queue.popleft()
@@ -394,12 +388,14 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
         # queue grows instead and shrinks back at the step boundary.
         if len(queue) >= cap and queue[0].gpn not in step_touched:
             evict_front()
-        ma = ["MA", gpn, None]
-        win = _PageWindow(gpn, ma)
+        slot = None
+        if page and keep:
+            slot = len(events)
+            append(None)
+        win = by_gpn[gpn] = _PageWindow(gpn, slot)
         queue.append(win)
-        by_gpn[gpn] = win
-        out.append(ma)
         emit_counters()
+        return win
 
     for ev in tap:
         kind = ev[0]
@@ -412,8 +408,7 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
                 continue
             win = by_gpn.get(gpn)
             if win is None:
-                fault(gpn)
-                win = by_gpn[gpn]
+                win = fault(gpn)
             step_touched.add(gpn)
             win.lines.add(ev[2])
             if kind == WRITE:
@@ -430,7 +425,9 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
                 continue
             if gpn != mapped_code:
                 mapped_code = gpn
-                out.append(_code_fetch(gpn))
+                if page and keep:
+                    append(_code_fetch(gpn))
+                    cf_pages.add(gpn)
                 emit_counters()
         elif kind == BRANCH:
             c_ins += 1
@@ -454,55 +451,33 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
             flush_all()
             step_touched.clear()
             mapped_code = None
-            out.append(Marker(mk))
+            keep = not targeted or marker_depth == 1
+            append(Marker(mk))
         else:  # pragma: no cover - tap kinds are closed
             raise CollectorError(f"unknown tap event kind: {kind}")
 
     if marker_depth != 0:
         raise CollectorError("unbalanced markers in workload")
     flush_all()
-
-    # targeted collection keeps only marker-windowed events
-    if policy.targeted:
-        out = _marker_window(out, keep_markers=True)
-
-    # freeze MA placeholders and filter channels, applied last so
-    # channels cannot interact
-    page, cache, pmc = "page" in chans, "cache" in chans, "pmc" in chans
-    events: list = []
-    append = events.append
-    cf_pages: set[int] = set()
-    for item in out:
-        cls = type(item)
-        if cls is list:
-            if page:
-                append(_data_access(item[1], item[2] if cache else None))
-        elif cls is CodeFetch:
-            if page:
-                append(item)
-                cf_pages.add(item.gpn)
-        elif cls is CounterSnapshot:
-            if pmc:
-                append(item)
-        else:  # CiphertextDiff (made only with the cipher channel) or Marker
-            append(item)
-    return Observation(chans, tuple(events), len(cf_pages), len(machine.pages))
+    return Observation(chans, tuple(events), len(cf_pages), tuple(machine.pages))
 
 
-def place(obs: Observation, machine: SimMachine, trace_seed: int,
-          layout: list[int] | None = None) -> Trace:
-    """The trace an observation gives on one run's layout and key.
+def place(obs: Observation, machine: SimMachine, trace_seed: int) -> Trace:
+    """The trace an observation gives on one run's machine.
 
-    ``layout[k]`` is the page number of the page ``obs`` numbers ``k``
-    (see :meth:`SimMachine.layout`); with ``None`` the observation's own
-    numbering is kept, so code fetches, data accesses and counters pass
-    through untouched.  Each ciphertext diff block is encrypted at its
-    placed address: the 16-byte keyed blake2b digest, under ``machine``'s
-    key, of the page (5 bytes) and block (2 bytes, both little-endian)
-    followed by the plaintext, so the same plaintext at the same address
-    always encrypts identically while any change gives an unrelated
-    block.  The keyed hash state is made once and copied per block.
+    The observation's k-th page becomes ``machine.layout(n)[k]``, the
+    page number of ``machine``'s k-th allocation.  Events whose page
+    keeps its number pass through untouched, so placing on the observing
+    machine returns its code fetches, data accesses and counters as they
+    are.  Each ciphertext diff block is encrypted at its placed address:
+    the 16-byte keyed blake2b digest, under ``machine``'s key, of the
+    page (5 bytes) and block (2 bytes, both little-endian) followed by
+    the plaintext, so the same plaintext at the same address always
+    encrypts identically while any change gives an unrelated block.  The
+    keyed hash state is made once and copied per block.
     """
+    moved = {old: new for old, new in zip(obs.pages, machine.layout(len(obs.pages)))
+             if old != new}
     keyed = hashlib.blake2b(digest_size=BLOCK_BYTES, key=machine._key)
 
     def encrypt(tweak: bytes, plaintext: bytes) -> bytes:
@@ -515,15 +490,14 @@ def place(obs: Observation, machine: SimMachine, trace_seed: int,
     for ev in obs.events:
         cls = type(ev)
         if cls is CiphertextDiff:
-            gpn = ev.gpn if layout is None else layout[ev.gpn]
+            gpn = moved.get(ev.gpn, ev.gpn)
             tweak = gpn.to_bytes(5, "little") + ev.block.to_bytes(2, "little")
             ev = _ciphertext_diff(gpn, ev.block, encrypt(tweak, ev.before),
                                   encrypt(tweak, ev.after))
-        elif layout is not None:
-            if cls is DataAccess:
-                ev = _data_access(layout[ev.gpn], ev.lines)
-            elif cls is CodeFetch:
-                ev = _code_fetch(layout[ev.gpn])
+        elif moved and (cls is DataAccess or cls is CodeFetch):
+            gpn = moved.get(ev.gpn)
+            if gpn is not None:
+                ev = _data_access(gpn, ev.lines) if cls is DataAccess else _code_fetch(gpn)
         append(ev)
     return _trace(trace_seed, obs.channels, tuple(events), obs.num_code_pages)
 

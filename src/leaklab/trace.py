@@ -261,33 +261,23 @@ def _trace(seed: int, channels: frozenset[str], events: tuple[TraceEvent, ...],
     return tr
 
 
-def _marker_window(events, keep_markers: bool) -> list[TraceEvent]:
-    """The events inside START/STOP marker windows, in order.
-
-    Markers themselves are kept only with ``keep_markers``.  Events
-    before the first START are outside every window.
-    """
-    out = []
-    inside = False
-    for ev in events:
-        if type(ev) is Marker:
-            inside = ev.kind == "START"
-            if keep_markers:
-                out.append(ev)
-        elif inside:
-            out.append(ev)
-    return out
-
-
 def windowed_events(trace: Trace) -> list[TraceEvent]:
     """Events considered "observed": inside marker windows if markers exist.
 
     Traces without markers are returned whole.  Marker events themselves
     are excluded from the result; they delimit, they are not observations.
+    Events before the first START are outside every window.
     """
     if not trace.has_markers:
         return list(trace.events)
-    return _marker_window(trace.events, keep_markers=False)
+    out = []
+    inside = False
+    for ev in trace.events:
+        if type(ev) is Marker:
+            inside = ev.kind == "START"
+        elif inside:
+            out.append(ev)
+    return out
 
 
 def write_trace(trace: Trace) -> str:

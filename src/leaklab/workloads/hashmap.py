@@ -181,6 +181,3 @@ class SimHashMap:
 
     def counts(self) -> dict[str, int]:
         return {key: count for key, count in self._nodes}
-
-    def chain_lengths(self) -> list[int]:
-        return [len(c) for c in self._chains]

@@ -56,16 +56,6 @@ def test_machine_faults():
         m.exec_page(p + 1)
 
 
-def test_write_applies_bytes_even_untraced():
-    m = SimMachine()
-    p = m.alloc_page()
-    m.set_tracing(False)
-    m.write(p, 10, b"hello")
-    m.set_tracing(True)
-    assert m.read(p, 10, 5) == b"hello"
-    assert m.tap[-1][0] != 2  # only the read gets tapped
-
-
 def test_ciphertext_is_deterministic_per_address():
     m = SimMachine(cipher_seed=9)
     c1 = ciphertext_of(m, 5, 7, b"A" * 16)
@@ -503,13 +493,13 @@ def test_collect_matches_oracle_on_fuzzed_taps(rng):
         workload(m)
         expected = oracle_collect(m, m.tap, policy, seed)
         assert collect(m, m.tap, policy, seed) == expected
-        # observed with pages numbered in allocation order, then placed on
-        # this machine's layout and key: the same trace
-        ordinal = SimMachine(alloc_seed=None)
-        workload(ordinal)
-        obs = observe(ordinal, ordinal.tap, policy)
-        assert obs.n_pages == len(m.pages)
-        assert place(obs, m, seed, m.layout(obs.n_pages)) == expected
+        # observed on a machine with another layout, then placed on this
+        # machine's layout and key: the same trace
+        other = SimMachine(cipher_seed=m.cipher_seed + 1, alloc_seed=m.alloc_seed + 1)
+        workload(other)
+        obs = observe(other, other.tap, policy)
+        assert obs.pages == tuple(other.pages) and len(obs.pages) == len(m.pages)
+        assert place(obs, m, seed) == expected
 
 
 def test_layout_replays_allocation():
@@ -518,9 +508,40 @@ def test_layout_replays_allocation():
     assert m.layout(len(pages)) == pages
     assert m.layout(10) == pages[:10]  # a replay from the seed, not from now
     assert SimMachine(alloc_seed=42).layout(len(pages)) == pages
-    ordinal = SimMachine(alloc_seed=None)
-    assert ordinal.alloc_pages(4) + [ordinal.alloc_page("code")] == [0, 1, 2, 3, 4]
-    assert ordinal.layout(3) == [0, 1, 2]
+
+
+def test_place_on_observing_machine_passes_events_through(full_policy):
+    m = SimMachine(cipher_seed=5, alloc_seed=6)
+    m.reset_tap()
+    workload_two_pages(m)
+    obs = observe(m, m.tap, full_policy)
+    placed = place(obs, m, 3).events
+    assert len(placed) == len(obs.events)
+    kept = [(a, b) for a, b in zip(obs.events, placed)
+            if type(a) in (CodeFetch, DataAccess, CounterSnapshot)]
+    assert {type(a) for a, _ in kept} == {CodeFetch, DataAccess, CounterSnapshot}
+    assert all(a is b for a, b in kept)
+
+
+def test_targeted_observe_builds_only_kept_diffs(monkeypatch, targeted_policy):
+    # an A7-shaped run: the ORAM load writes thousands of blocks before
+    # the marker window, the window itself a few hundred
+    from leaklab import machine as machine_mod
+    from leaklab.workloads import build_workload
+
+    cfg = {"kind": "pir_oram", "db_size": 64, "height": 8,
+           "zero_value_indices": [7], "flaw": False}
+    m = SimMachine(cipher_seed=1, alloc_seed=2)
+    build_workload(cfg, [33, 33, 33, 7], 3)(m)
+    built = []
+    make = machine_mod._ciphertext_diff
+    monkeypatch.setattr(machine_mod, "_ciphertext_diff",
+                        lambda *a: built.append(a) or make(*a))
+    obs = observe(m, m.tap, targeted_policy)
+    kept = len(only(obs.events, CiphertextDiff))
+    assert kept > 0 and len(built) == kept
+    untargeted = dataclasses.replace(targeted_policy, targeted=False)
+    assert len(only(observe(m, m.tap, untargeted).events, CiphertextDiff)) > 5 * kept
 
 
 def test_observation_holds_plaintext_and_place_encrypts(full_policy):

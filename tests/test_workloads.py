@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import leaklab.workloads.phh as phh_mod
-from leaklab.machine import CollectorPolicy, SimMachine, observe, run_collect
+from leaklab.machine import CollectorPolicy, SimMachine, collect, observe, place, run_collect
 from leaklab.trace import CiphertextDiff, CodeFetch, CounterSnapshot, DataAccess, Trace
 from leaklab.workloads import (
     CovertDecodeError,
@@ -60,7 +60,7 @@ def test_hashmap_chain_structure(rng):
     for k in keys:
         hm.insert(k)
     expect = collections.Counter(hm.bucket_of(k) for k in keys)
-    lengths = hm.chain_lengths()
+    lengths = [len(chain) for chain in hm._chains]
     assert len(lengths) == hm.bucket_count
     assert sum(lengths) == len(keys)
     for b, ln in enumerate(lengths):
@@ -477,11 +477,13 @@ def test_reuse_rule_holds(cfg, inputs, reusable):
     assert not observation_reusable(cfg, noisy)
     if not reusable:
         return
-    # an observation the rule calls reusable is the same under any run seed
-    observations = []
+    # an observation the rule calls reusable, made under run seed A and
+    # placed on run seed B's machine, is B's own trace
+    machines = {}
     for run_seed in (1, 2**62 + 7):
-        m = SimMachine(cipher_seed=run_seed, alloc_seed=None)
+        m = machines[run_seed] = SimMachine(cipher_seed=run_seed, alloc_seed=run_seed)
         build_workload(cfg, inputs, run_seed)(m)
-        observations.append(observe(m, m.tap, FULL_POLICY))
-    assert observations[0] == observations[1]
-    assert len(observations[0].events) > 10
+    a, b = machines.values()
+    expected = collect(b, b.tap, FULL_POLICY, trace_seed=5)
+    assert place(observe(a, a.tap, FULL_POLICY), b, 5) == expected
+    assert len(expected.events) > 10
