@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from .trace import (
     BLOCK_BYTES,
     CodeFetch,
-    CounterSnapshot,
     CiphertextDiff,
     DataAccess,
     Marker,
