@@ -20,8 +20,8 @@ NOTES = {
 
 
 def tiny_workload(m: SimMachine) -> None:
-    code_a = m.alloc_page("code")
-    code_b = m.alloc_page("code")
+    code_a = m.alloc_page()
+    code_b = m.alloc_page()
     data = m.alloc_page()
     m.exec_page(code_a)
     m.write(data, 0, struct.pack("<Q", 0xFEED))

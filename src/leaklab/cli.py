@@ -108,6 +108,8 @@ def _write_svg(path: str | None, svg: str) -> None:
 def _cmd_simulate(args) -> int:
     from .games import GameConfig, run_distinguishing_game, run_fingerprinting_game
 
+    if args.jobs < 1:
+        raise _config_error("--jobs must be >= 1")
     cfg_obj = _load_config(args.config)
     seed = _resolve_seed(args.seed, cfg_obj)
     if seed is not None:
@@ -151,6 +153,13 @@ def _cmd_analyze(args) -> int:
     from .features import FeatureParams
     from .games import LabeledDataset
 
+    for name in ("trials", "iterations", "n_bins", "m_cf", "m_da"):
+        if getattr(args, name) < 1:
+            raise _config_error(f"--{name.replace('_', '-')} must be >= 1")
+    if not 0.0 < args.test_frac < 1.0:
+        raise _config_error("--test-frac must be in (0, 1)")
+    if args.fingerprint and args.seq:
+        raise _config_error("--seq does not apply to --fingerprint")
     root = Path(args.dataset)
     if not (root / "dataset.json").is_file():
         raise _config_error(f"not a dataset directory: {args.dataset}")
@@ -302,6 +311,8 @@ def _cmd_covert(args) -> int:
         payload = args.text.encode()
     if not payload:
         raise _config_error("message must be nonempty")
+    if args.reps < 1:
+        raise _config_error("--reps must be >= 1")
     channels = frozenset(s.strip() for s in args.channels.split(",") if s.strip())
     try:
         policy = CollectorPolicy(channels=channels)

@@ -350,12 +350,9 @@ class _TraceJob:
         )
         obs = self.observations.get(repr(x))
         if obs is None:
-            policy = self.policy
-            if policy.drop_prob or policy.flip_prob:
-                policy = dataclasses.replace(policy, rng_seed=derive_seed(run_seed, "noise"))
             workload_seed = derive_seed(run_seed, "workload")
             build_workload(self.cfg.workload, self.inputs + [x], workload_seed)(machine)
-            obs = observe(machine, machine.tap, policy)
+            obs = observe(machine, machine.tap, self.policy, derive_seed(run_seed, "noise"))
             if self.reusable:
                 self.observations[repr(x)] = obs
         trace = place(obs, machine, run_seed)

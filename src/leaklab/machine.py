@@ -6,8 +6,8 @@ action appends a compact raw event to the machine's tap.  The collector
 replays that tap through a state machine that mimics what a malicious
 hypervisor can observe on a memory-encrypted guest:
 
-* page channel  - faults on unmapped code/data pages (the collector keeps
-  one code page and a short FIFO of data pages mapped at a time);
+* page channel  - faults on unmapped pages (the collector keeps the one
+  page last executed and a short FIFO of data pages mapped at a time);
 * cache channel - which cache lines were touched on a faulted data page
   while it stayed mapped;
 * cipher channel - which 16-byte blocks of a written page changed
@@ -87,13 +87,6 @@ class CollectorError(ValueError):
     """The collector policy or the raw tap is unusable."""
 
 
-@dataclass
-class PageAttrs:
-    kind: str  # "code" or "data"
-    encrypted: bool = True
-    reserved: bool = False
-
-
 def _fresh_gpn(rng: random.Random, taken) -> int:
     """A random 40-bit page number that is not in ``taken``."""
     while True:
@@ -104,6 +97,8 @@ def _fresh_gpn(rng: random.Random, taken) -> int:
 
 class SimMachine:
     """A bag of guest pages plus an event tap.
+
+    Pages are untyped and all encrypted: a page is code when it is executed.
 
     ``cipher_seed`` keys the per-address memory encryption;
     ``alloc_seed`` drives page-number assignment so layouts differ
@@ -117,21 +112,18 @@ class SimMachine:
         self._key = b"ctblk" + cipher_seed.to_bytes(8, "little")
         self._alloc_rng = random.Random(alloc_seed)
         self.pages: dict[int, bytearray] = {}
-        self.attrs: dict[int, PageAttrs] = {}
         self.tap: list[tuple] = []
 
     # -- allocation ----------------------------------------------------
 
-    def alloc_page(self, kind: str = "data", *, encrypted: bool = True,
-                   reserved: bool = False) -> int:
+    def alloc_page(self) -> int:
         """Allocate one fresh zeroed page, returning its guest page number."""
         gpn = _fresh_gpn(self._alloc_rng, self.pages)
         self.pages[gpn] = bytearray(PAGE_BYTES)
-        self.attrs[gpn] = PageAttrs(kind=kind, encrypted=encrypted, reserved=reserved)
         return gpn
 
-    def alloc_pages(self, n: int, kind: str = "data", **kw) -> list[int]:
-        return [self.alloc_page(kind, **kw) for _ in range(n)]
+    def alloc_pages(self, n: int) -> list[int]:
+        return [self.alloc_page() for _ in range(n)]
 
     def layout(self, n: int) -> list[int]:
         """Page numbers of the first ``n`` allocations under ``alloc_seed``.
@@ -221,18 +213,17 @@ class CollectorPolicy:
     ``data_queue_len`` is how many data pages stay mapped at once (FIFO).
     The queue grows within one workload step if a single step touches
     more pages than it holds, then shrinks back at the step boundary.
+    ``targeted`` keeps only the events made inside marker windows.
     ``drop_prob``/``flip_prob`` model a lossy cache probe; both default
-    to 0 (the cache channel is treated as noiseless).
+    to 0 (the cache channel is treated as noiseless).  The noise stream
+    is seeded per call of :func:`observe`, not by the policy.
     """
 
     channels: frozenset[str]
     data_queue_len: int = 4
-    skip_unencrypted: bool = True
-    skip_reserved: bool = True
     targeted: bool = False
     drop_prob: float = 0.0
     flip_prob: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "channels", frozenset(self.channels))
@@ -261,17 +252,6 @@ class CollectorPolicy:
             flip_prob=noise.get("flip_prob", 0.0),
             **obj,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "channels": sorted(self.channels),
-            "data_queue_len": self.data_queue_len,
-            "skip_unencrypted": self.skip_unencrypted,
-            "skip_reserved": self.skip_reserved,
-            "targeted": self.targeted,
-            "cache_noise": {"drop_prob": self.drop_prob, "flip_prob": self.flip_prob},
-            "rng_seed": self.rng_seed,
-        }
 
 
 class _PageWindow:
@@ -303,7 +283,8 @@ class Observation:
     pages: tuple[int, ...]
 
 
-def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> Observation:
+def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
+            noise_seed: int = 0) -> Observation:
     """Replay a raw tap through the collector state machine, in one pass.
 
     Each event is made in its final form where it happens: a data access
@@ -316,12 +297,10 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
     construction (40-bit pages, lines 0-63, blocks 0-255, non-negative
     counters, a diff only where the plaintext changed), so they skip the
     per-event validation.  No decision here reads a page number's value,
-    only its identity.
+    only its identity.  ``noise_seed`` seeds the cache noise draws; a
+    noiseless policy draws nothing.
     """
-    rng = random.Random(policy.rng_seed)
-    attrs = machine.attrs
-    skip_unenc = policy.skip_unencrypted
-    skip_res = policy.skip_reserved
+    rng = random.Random(noise_seed)
     chans = policy.channels
     page, cache, cipher, pmc = (c in chans for c in ("page", "cache", "cipher", "pmc"))
     noisy = policy.drop_prob or policy.flip_prob
@@ -400,11 +379,8 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
         kind = ev[0]
         if kind == READ or kind == WRITE:
             gpn = ev[1]
-            pa = attrs[gpn]
             c_ins += 1
             c_uop += 2
-            if (skip_unenc and not pa.encrypted) or (skip_res and pa.reserved):
-                continue
             win = by_gpn.get(gpn)
             if win is None:
                 win = fault(gpn)
@@ -417,11 +393,8 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy) -> O
                 win.current[block] = ev[5]
         elif kind == EXEC:
             gpn = ev[1]
-            pa = attrs[gpn]
             c_ins += 1
             c_uop += 1
-            if (skip_unenc and not pa.encrypted) or (skip_res and pa.reserved):
-                continue
             if gpn != mapped_code:
                 mapped_code = gpn
                 if page and keep:
@@ -502,17 +475,16 @@ def place(obs: Observation, machine: SimMachine, trace_seed: int) -> Trace:
 
 
 def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
-            trace_seed: int | None = None) -> Trace:
+            trace_seed: int = 0) -> Trace:
     """The trace of a raw tap: its observation placed on ``machine`` as is.
 
-    ``trace_seed`` defaults to the policy's ``rng_seed``.
+    ``trace_seed`` is the trace's SEED and seeds its cache noise.
     """
-    seed = policy.rng_seed if trace_seed is None else trace_seed
-    return place(observe(machine, tap, policy), machine, seed)
+    return place(observe(machine, tap, policy, trace_seed), machine, trace_seed)
 
 
 def run_collect(machine: SimMachine, workload, policy: CollectorPolicy,
-                trace_seed: int | None = None):
+                trace_seed: int = 0):
     """Run ``workload(machine)`` and collect its trace.
 
     Returns ``(trace, workload_output)``.

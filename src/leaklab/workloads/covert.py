@@ -47,7 +47,7 @@ class CovertSender:
         self.message = message
 
     def __call__(self, m: SimMachine) -> int:
-        code = m.alloc_page("code")
+        code = m.alloc_page()
         enc = m.alloc_page()
         scratch = m.alloc_pages(4)
         counter = 1

@@ -47,11 +47,11 @@ class SimHashMap:
         self._index: dict[str, int] = {}
         self._node_pages: list[int] = []
         self._bucket_pages = self._alloc_buckets(self.bucket_count)
-        self.code_find = machine.alloc_page("code")
-        self.code_hit = machine.alloc_page("code")
-        self.code_alloc = machine.alloc_page("code")
-        self.code_miss = machine.alloc_page("code")
-        self.code_rehash = machine.alloc_page("code")
+        self.code_find = machine.alloc_page()
+        self.code_hit = machine.alloc_page()
+        self.code_alloc = machine.alloc_page()
+        self.code_miss = machine.alloc_page()
+        self.code_rehash = machine.alloc_page()
 
     # -- layout helpers -------------------------------------------------
 

@@ -54,7 +54,7 @@ class PathOram:
         # slot metadata mirrors the encrypted headers: (block_id | None, leaf)
         self._meta: list[list[int | None]] = [[None] * Z for _ in range(self.n_buckets)]
         self._pages = machine.alloc_pages(-(-self.n_buckets // _BUCKETS_PER_PAGE))
-        self.code_path = machine.alloc_page("code")
+        self.code_path = machine.alloc_page()
 
     # -- tree geometry ----------------------------------------------------
 

@@ -62,10 +62,10 @@ class HeavyHitters:
     def __call__(self, m: SimMachine) -> PhhResult:
         rng = np.random.default_rng([self.seed & (2**63 - 1), 0x9E37])
         hmap = SimHashMap(m, hash_seed=self.hash_seed)
-        code_agg = m.alloc_page("code")
-        code_nt = m.alloc_page("code")
-        code_noise = m.alloc_page("code")
-        code_out = m.alloc_page("code")
+        code_agg = m.alloc_page()
+        code_nt = m.alloc_page()
+        code_noise = m.alloc_page()
+        code_out = m.alloc_page()
         vec_pages = m.alloc_pages(8)  # release vector, 8B refs, up to 4096 keys
         scratch = m.alloc_page()
         out_page = m.alloc_page()
@@ -157,8 +157,8 @@ class SyntheticLoop:
 
     def __call__(self, m: SimMachine) -> int:
         rng = np.random.default_rng([self.seed & (2**63 - 1), 0x51D0])
-        code_a = m.alloc_page("code")
-        code_b = m.alloc_page("code")
+        code_a = m.alloc_page()
+        code_b = m.alloc_page()
         total = 1 + self.extra + sample_dummy_count(self.eps, self.delta, rng)
         with m.marked():
             for _ in range(total):

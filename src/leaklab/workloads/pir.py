@@ -42,8 +42,8 @@ class LinearScanPir:
         self.queries = list(queries)
 
     def __call__(self, m: SimMachine) -> list[bytes]:
-        code_scan = m.alloc_page("code")
-        code_out = m.alloc_page("code")
+        code_scan = m.alloc_page()
+        code_out = m.alloc_page()
         n_pages = -(-len(self.db) // _RECORDS_PER_PAGE)
         db_pages = m.alloc_pages(n_pages)
         acc_page = m.alloc_page()

@@ -62,12 +62,13 @@ class _PageWindow:
 
 
 def oracle_collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
-                   trace_seed: int | None = None) -> Trace:
-    """Replay a raw tap through the collector state machine."""
-    rng = random.Random(policy.rng_seed)
-    attrs = machine.attrs
-    skip_unenc = policy.skip_unencrypted
-    skip_res = policy.skip_reserved
+                   trace_seed: int, noise_seed: int) -> Trace:
+    """Replay a raw tap through the collector state machine.
+
+    ``trace_seed`` is the trace's SEED; ``noise_seed`` seeds the cache
+    noise draws.
+    """
+    rng = random.Random(noise_seed)
 
     out: list = []  # TraceEvent | mutable MA placeholder
     mapped_code: int | None = None
@@ -138,11 +139,8 @@ def oracle_collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolic
         kind = ev[0]
         if kind == READ or kind == WRITE:
             gpn = ev[1]
-            pa = attrs[gpn]
             c_ins += 1
             c_uop += 2
-            if (skip_unenc and not pa.encrypted) or (skip_res and pa.reserved):
-                continue
             win = by_gpn.get(gpn)
             if win is None:
                 fault(gpn)
@@ -156,11 +154,8 @@ def oracle_collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolic
                 win.current[block] = ev[5]
         elif kind == EXEC:
             gpn = ev[1]
-            pa = attrs[gpn]
             c_ins += 1
             c_uop += 1
-            if (skip_unenc and not pa.encrypted) or (skip_res and pa.reserved):
-                continue
             if gpn != mapped_code:
                 mapped_code = gpn
                 out.append(CodeFetch(gpn))
@@ -236,5 +231,4 @@ def oracle_collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolic
         else:
             filtered.append(ev2)
 
-    seed = policy.rng_seed if trace_seed is None else trace_seed
-    return Trace(seed=seed, channels=chans, events=tuple(filtered))
+    return Trace(seed=trace_seed, channels=chans, events=tuple(filtered))

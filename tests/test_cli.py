@@ -222,6 +222,28 @@ def test_analyze_usage_errors(capsys, loop_dataset, tmp_path):
     assert code == EXIT_CONFIG and "fingerprint" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "--trials", "0"], "--trials"),
+    (["analyze", "--iterations", "0"], "--iterations"),
+    (["analyze", "--test-frac", "1.5"], "--test-frac"),
+    (["analyze", "--n-bins", "0"], "--n-bins"),
+    (["analyze", "--m-cf", "0"], "--m-cf"),
+    (["analyze", "--m-da", "0"], "--m-da"),
+    (["analyze", "--fingerprint", "--seq"], "--seq"),
+    (["covert", "--text", "hi", "--reps", "0"], "--reps"),
+    (["simulate", "--jobs", "0"], "--jobs"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, loop_dataset, tmp_path, argv, flag):
+    # each flag is rejected before any work, naming the flag
+    rest = {"analyze": ["--dataset", str(loop_dataset)], "covert": [],
+            "simulate": ["--config", write_config(tmp_path, LOOP_CONFIG),
+                         "--out", str(tmp_path / "ds")]}[argv[0]]
+    capsys.readouterr()
+    code, rep, err = run_cli(capsys, *argv, *rest)
+    assert code == EXIT_CONFIG and rep is None and flag in err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_noisy_dataset_with_empty_line_sets_analyzes(capsys, tmp_path):
     # cache-line drop noise empties line sets; simulate must write them in
     # a form analyze can load

@@ -1,7 +1,6 @@
 """Game protocols, priors, the bundled universe, and dataset IO."""
 
 import collections
-import dataclasses
 import hashlib
 import json
 
@@ -336,11 +335,10 @@ def _oracle_traces(cfg):
         workload = build_workload(cfg.workload, inputs + [cfg.x1 if i % 2 else cfg.x0],
                                   derive_seed(run_seed, "workload"))
         policy = CollectorPolicy.from_json(cfg.policy)
-        if policy.drop_prob or policy.flip_prob:
-            policy = dataclasses.replace(policy, rng_seed=derive_seed(run_seed, "noise"))
         m.reset_tap()
         workload(m)
-        out.append(write_trace(oracle_collect(m, m.tap, policy, run_seed)))
+        out.append(write_trace(oracle_collect(m, m.tap, policy, run_seed,
+                                              derive_seed(run_seed, "noise"))))
     return out
 
 

@@ -78,7 +78,7 @@ def test_ciphertext_no_collisions_across_blocks():
 
 
 def workload_two_pages(m):
-    code = m.alloc_page("code")
+    code = m.alloc_page()
     d1 = m.alloc_page()
     d2 = m.alloc_page()
     m.exec_page(code)
@@ -119,7 +119,7 @@ def test_channel_filtering_is_projection(rng, full_policy):
     from conftest import random_trace  # noqa: F401  (style anchor)
 
     m = SimMachine(alloc_seed=7)
-    code = m.alloc_page("code")
+    code = m.alloc_page()
     data = m.alloc_pages(9)
     m.reset_tap()
     for i in range(60):
@@ -163,7 +163,7 @@ def test_cache_requires_page_channel():
 
 def test_code_refetch_only_on_change(full_policy):
     m = SimMachine()
-    c1, c2 = m.alloc_pages(2, kind="code")
+    c1, c2 = m.alloc_pages(2)
     m.reset_tap()
     for _ in range(3):
         m.exec_page(c1)
@@ -298,7 +298,7 @@ def test_marker_flush_and_targeted_filter(targeted_policy, full_policy):
     m = SimMachine()
     p_out = m.alloc_page()
     p_in = m.alloc_page()
-    code = m.alloc_page("code")
+    code = m.alloc_page()
     m.reset_tap()
     m.write(p_out, 0, b"n" * 16)
     m.exec_page(code)
@@ -322,27 +322,9 @@ def test_marker_flush_and_targeted_filter(targeted_policy, full_policy):
     assert [e.gpn for e in kept if isinstance(e, CodeFetch)] == [code]
 
 
-def test_skip_unencrypted_and_reserved(full_policy):
-    m = SimMachine()
-    plain = m.alloc_page(encrypted=False)
-    resv = m.alloc_page(reserved=True)
-    norm = m.alloc_page()
-    m.reset_tap()
-    m.write(plain, 0, b"1" * 16)
-    m.write(resv, 0, b"2" * 16)
-    m.write(norm, 0, b"3" * 16)
-    m.step()
-    tr = collect(m, m.tap, full_policy)
-    assert {e.gpn for e in only(tr.events, DataAccess)} == {norm}
-    keep_all = dataclasses.replace(full_policy, skip_unencrypted=False,
-                                   skip_reserved=False)
-    tr2 = collect(m, m.tap, keep_all)
-    assert {e.gpn for e in only(tr2.events, DataAccess)} == {plain, resv, norm}
-
-
 def test_counter_semantics(full_policy):
     m = SimMachine()
-    code = m.alloc_page("code")
+    code = m.alloc_page()
     p = m.alloc_page()
     m.reset_tap()
     m.branch(taken=True)
@@ -371,24 +353,24 @@ def test_cache_noise_drop_and_flip():
     for ln in range(32):
         m.read(p, ln * 64, 8)
     m.step()
-    drop_all = CollectorPolicy(channels=frozenset(["page", "cache"]),
-                               drop_prob=1.0, rng_seed=5)
-    tr = collect(m, m.tap, drop_all)
+    drop_all = CollectorPolicy(channels=frozenset(["page", "cache"]), drop_prob=1.0)
+    tr = collect(m, m.tap, drop_all, trace_seed=5)
     assert only(tr.events, DataAccess)[0].lines == frozenset()
-    flip = CollectorPolicy(channels=frozenset(["page", "cache"]),
-                           flip_prob=1.0, rng_seed=5)
-    tr2 = collect(m, m.tap, flip)
+    flip = CollectorPolicy(channels=frozenset(["page", "cache"]), flip_prob=1.0)
+    tr2 = collect(m, m.tap, flip, trace_seed=5)
     lines = only(tr2.events, DataAccess)[0].lines
     assert lines and lines != frozenset(range(32))
     # same seed, same result
-    tr3 = collect(m, m.tap, flip)
+    tr3 = collect(m, m.tap, flip, trace_seed=5)
     assert only(tr3.events, DataAccess)[0].lines == lines
 
 
-def test_policy_json_round_trip(full_policy):
-    pol = dataclasses.replace(full_policy, drop_prob=0.25, rng_seed=3)
-    again = CollectorPolicy.from_json(pol.to_json())
-    assert again == pol
+def test_policy_from_json(full_policy):
+    pol = CollectorPolicy.from_json({
+        "channels": ["pmc", "page", "cache", "cipher"], "data_queue_len": 3,
+        "targeted": False, "cache_noise": {"drop_prob": 0.25, "flip_prob": 0.5}})
+    assert pol == dataclasses.replace(full_policy, data_queue_len=3,
+                                      drop_prob=0.25, flip_prob=0.5)
 
 
 def test_unbalanced_workload_markers_rejected(full_policy):
@@ -400,7 +382,7 @@ def test_unbalanced_workload_markers_rejected(full_policy):
 
 
 def _fuzzed_run(rng):
-    """A random workload, machine seeds and collector policy.
+    """A random workload, machine seeds, collector policy, noise seed and trace seed.
 
     The workload replays a pre-drawn list of guest actions, so it makes
     the same tap, up to page numbering, on any machine.
@@ -432,9 +414,8 @@ def _fuzzed_run(rng):
         ops.append(("stop",))
 
     def workload(m):
-        code = m.alloc_pages(3, "code") + [m.alloc_page("code", encrypted=False)]
-        data = (m.alloc_pages(8) + [m.alloc_page(encrypted=False)]
-                + [m.alloc_page(reserved=True)])
+        code = m.alloc_pages(4)
+        data = m.alloc_pages(10)
         for op, *args in ops:
             if op == "exec":
                 m.exec_page(code[args[0]])
@@ -455,16 +436,14 @@ def _fuzzed_run(rng):
     policy = CollectorPolicy(
         channels=frozenset(channels or ["pmc"]),
         data_queue_len=int(rng.integers(1, 5)),
-        skip_unencrypted=bool(rng.integers(0, 2)),
-        skip_reserved=bool(rng.integers(0, 2)),
         targeted=bool(rng.integers(0, 2)),
         drop_prob=float(rng.choice([0.0, 0.3, 1.0])),
         flip_prob=float(rng.choice([0.0, 0.3])),
-        rng_seed=int(rng.integers(0, 1000)),
     )
+    noise_seed = int(rng.integers(0, 1000))
     machine = SimMachine(cipher_seed=int(rng.integers(0, 1 << 32)),
                          alloc_seed=int(rng.integers(0, 1 << 32)))
-    return workload, machine, policy, int(rng.integers(0, 1 << 32))
+    return workload, machine, policy, noise_seed, int(rng.integers(0, 1 << 32))
 
 
 def test_collected_events_are_valid_by_construction(rng):
@@ -474,7 +453,7 @@ def test_collected_events_are_valid_by_construction(rng):
     kinds = set()
     empty_sets = 0
     for _ in range(150):
-        workload, m, policy, seed = _fuzzed_run(rng)
+        workload, m, policy, _, seed = _fuzzed_run(rng)
         tr, _ = run_collect(m, workload, policy, seed)
         assert parse_trace(write_trace(tr)) == tr
         for ev in tr.events:
@@ -488,23 +467,26 @@ def test_collected_events_are_valid_by_construction(rng):
 
 def test_collect_matches_oracle_on_fuzzed_taps(rng):
     for _ in range(300):
-        workload, m, policy, seed = _fuzzed_run(rng)
+        workload, m, policy, noise_seed, seed = _fuzzed_run(rng)
         m.reset_tap()
         workload(m)
-        expected = oracle_collect(m, m.tap, policy, seed)
-        assert collect(m, m.tap, policy, seed) == expected
+        # collect seeds the SEED header and the noise with one seed
+        assert collect(m, m.tap, policy, seed) == \
+            oracle_collect(m, m.tap, policy, seed, seed)
+        expected = oracle_collect(m, m.tap, policy, seed, noise_seed)
+        assert place(observe(m, m.tap, policy, noise_seed), m, seed) == expected
         # observed on a machine with another layout, then placed on this
         # machine's layout and key: the same trace
         other = SimMachine(cipher_seed=m.cipher_seed + 1, alloc_seed=m.alloc_seed + 1)
         workload(other)
-        obs = observe(other, other.tap, policy)
+        obs = observe(other, other.tap, policy, noise_seed)
         assert obs.pages == tuple(other.pages) and len(obs.pages) == len(m.pages)
         assert place(obs, m, seed) == expected
 
 
 def test_layout_replays_allocation():
     m = SimMachine(alloc_seed=42)
-    pages = m.alloc_pages(5, "code") + m.alloc_pages(60) + [m.alloc_page(reserved=True)]
+    pages = m.alloc_pages(65) + [m.alloc_page()]
     assert m.layout(len(pages)) == pages
     assert m.layout(10) == pages[:10]  # a replay from the seed, not from now
     assert SimMachine(alloc_seed=42).layout(len(pages)) == pages

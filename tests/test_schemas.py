@@ -1,8 +1,11 @@
 """Bundled schema integrity and validator behavior."""
 
+import dataclasses
+
 import jsonschema
 import pytest
 
+from leaklab.machine import CollectorPolicy
 from leaklab.schemas import (
     SCHEMA_NAMES,
     SchemaError,
@@ -53,6 +56,9 @@ def test_config_validator_accepts_and_rejects():
         {**GOOD_CONFIG, "policy": {"channels": []}},
         {**GOOD_CONFIG, "policy": {"channels": ["page", "page"]}},
         {**GOOD_CONFIG, "policy": {"channels": ["tlb"]}},
+        {**GOOD_CONFIG, "policy": {"channels": ["page"], "skip_unencrypted": True}},
+        {**GOOD_CONFIG, "policy": {"channels": ["page"], "skip_reserved": True}},
+        {**GOOD_CONFIG, "policy": {"channels": ["page"], "rng_seed": 3}},
         {**GOOD_CONFIG, "workload": {"kind": "phh", "eps": -1}},
         {**GOOD_CONFIG, "workload": {"kind": "phh", "delta": 1.0}},
         {**GOOD_CONFIG, "workload": {"no_kind": True}},
@@ -62,6 +68,17 @@ def test_config_validator_accepts_and_rejects():
     for obj in bad:
         with pytest.raises(SchemaError):
             validate_config(obj)
+
+
+def test_config_policy_keys_are_collector_policy_fields():
+    # every policy key a config may set is a CollectorPolicy field, and
+    # every field can be set; the noise probabilities nest under cache_noise
+    props = load_schema("config")["properties"]["policy"]["properties"]
+    fields = {f.name for f in dataclasses.fields(CollectorPolicy)}
+    noise = {"drop_prob", "flip_prob"}
+    assert noise <= fields
+    assert set(props) == (fields - noise) | {"cache_noise"}
+    assert set(props["cache_noise"]["properties"]) == noise
 
 
 def test_config_error_carries_json_path():
