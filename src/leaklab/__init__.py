@@ -50,6 +50,7 @@ from .machine import (
     CollectorPolicy,
     MachineFault,
     Observation,
+    Observer,
     SimMachine,
     collect,
     observe,
@@ -84,7 +85,7 @@ __all__ = [
     "CHANNEL_ORDER",
     # machine
     "SimMachine", "MachineFault", "CollectorError", "CollectorPolicy",
-    "Observation", "observe", "place", "collect", "run_collect",
+    "Observation", "Observer", "observe", "place", "collect", "run_collect",
     # features
     "FEATURE_SET_NAMES", "FeatureParams", "FeatureVector", "extract_features",
     "trace_stats", "TokenSequence", "tokenize", "ngram_hash_matrix",

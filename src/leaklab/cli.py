@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -158,6 +159,8 @@ def _cmd_analyze(args) -> int:
             raise _config_error(f"--{name.replace('_', '-')} must be >= 1")
     if not 0.0 < args.test_frac < 1.0:
         raise _config_error("--test-frac must be in (0, 1)")
+    if not 0.0 <= args.l2_lambda < math.inf:
+        raise _config_error("--l2-lambda must be finite and >= 0")
     if args.fingerprint and args.seq:
         raise _config_error("--seq does not apply to --fingerprint")
     root = Path(args.dataset)
@@ -245,9 +248,16 @@ def _bound_row(eps: float, delta: float) -> dict:
     return row
 
 
+def _check_eps_delta(eps_flag: str, eps_values, delta: float) -> None:
+    # written so that NaN fails each check
+    if not all(0.0 < eps < math.inf for eps in eps_values):
+        raise _config_error(f"{eps_flag} must be finite and > 0")
+    if not 0.0 <= delta < 1.0:
+        raise _config_error("--delta must be in [0, 1)")
+
+
 def _cmd_bound(args) -> int:
-    if args.eps <= 0 or args.delta < 0:
-        raise _config_error("need eps > 0 and delta >= 0")
+    _check_eps_delta("--eps", [args.eps], args.delta)
     row = _bound_row(args.eps, args.delta)
     if args.claim_eps is not None:
         from .mitigation import verify_dummy_dp
@@ -269,8 +279,9 @@ def _cmd_sweep(args) -> int:
         eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
     except ValueError as e:
         raise _config_error(f"bad --eps-list: {e}") from e
-    if not eps_list or any(e <= 0 for e in eps_list):
+    if not eps_list:
         raise _config_error("--eps-list needs positive numbers")
+    _check_eps_delta("--eps-list", eps_list, args.delta)
     rows = [_bound_row(eps, args.delta) for eps in eps_list]
     ok = all(r["padding_verified"] for r in rows)
     if args.svg:

@@ -25,10 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .machine import CollectorPolicy, Observation, SimMachine, observe, place
+from .machine import CollectorPolicy, Observation, Observer, SimMachine, observe, place
 from .schemas import validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
-from .workloads import PRIME_LADDER, build_workload, observation_reusable
+from .workloads import PRIME_LADDER, HeavyHitters, build_workload, observation_reusable
+from .workloads.phh import Aggregation
 
 __all__ = [
     "GameConfig",
@@ -329,10 +330,20 @@ class _TraceJob:
     Each round builds its run's machine, simulates the workload and
     observes it there, and places the observation on that machine.  A
     run whose observation depends on its inputs alone (see
-    ``observation_reusable``) is simulated once per distinct secret: the
+    ``observation_reusable``) is observed once per distinct secret: the
     job keeps those observations and places them on every later run's
     machine, so they live as long as one generation, or one pool
     worker's copy of its job.
+
+    For phh (its ``aggregate`` window) every run also feeds the same
+    shared inputs before its secret, and stage one draws no randomness.
+    So on first use the job simulates and observes that prefix once, on
+    a machine of its own, and keeps the checkpoint: the stage-one state,
+    machine included, and the observer.  A new secret resumes a copy of it
+    with the one remaining insert (and any growth pass that insert
+    triggers), closes the window and finishes the observation, which
+    shares the prefix's events.  Placement makes the observing machine's
+    page numbers and key irrelevant.
     """
 
     def __init__(self, cfg: GameConfig, inputs: list, as_text: bool):
@@ -342,6 +353,7 @@ class _TraceJob:
         self.policy = CollectorPolicy.from_json(cfg.policy)
         self.reusable = observation_reusable(cfg.workload, self.policy)
         self.observations: dict[str, Observation] = {}
+        self.checkpoint: tuple[Aggregation, Observer] | None = None
 
     def __call__(self, x, run_seed: int):
         machine = SimMachine(
@@ -351,12 +363,33 @@ class _TraceJob:
         obs = self.observations.get(repr(x))
         if obs is None:
             workload_seed = derive_seed(run_seed, "workload")
-            build_workload(self.cfg.workload, self.inputs + [x], workload_seed)(machine)
-            obs = observe(machine, machine.tap, self.policy, derive_seed(run_seed, "noise"))
+            workload = build_workload(self.cfg.workload, self.inputs + [x], workload_seed)
+            if self.reusable and isinstance(workload, HeavyHitters):
+                obs = self._resume(workload, x)
+            else:
+                workload(machine)
+                obs = observe(machine, machine.tap, self.policy,
+                              derive_seed(run_seed, "noise"))
             if self.reusable:
                 self.observations[repr(x)] = obs
         trace = place(obs, machine, run_seed)
         return write_trace(trace) if self.as_text else trace
+
+    def _resume(self, workload: HeavyHitters, x) -> Observation:
+        """The observation of stage one on the shared inputs, then ``x``."""
+        if self.checkpoint is None:
+            agg = workload.begin(SimMachine())
+            for key in self.inputs:
+                agg.insert(key)
+            observer = Observer(self.policy)
+            observer.feed(agg.m.tap)
+            agg.m.reset_tap()
+            self.checkpoint = (agg, observer)
+        agg, observer = (state.copy() for state in self.checkpoint)
+        agg.insert(x)
+        workload.end(agg)
+        observer.feed(agg.m.tap)
+        return observer.finish(agg.m)
 
 
 # A pool worker's job, set once by the pool initializer.

@@ -18,7 +18,8 @@ hypervisor can observe on a memory-encrypted guest:
   events.
 
 Collection is two steps.  ``observe`` replays the tap, in one pass, into
-an observation that is free of the memory-encryption key: each
+an observation that is free of the memory-encryption key (an
+:class:`Observer` does the replay and can stop, fork and resume it): each
 ciphertext diff holds its two plaintext blocks, and the observation
 lists the observing machine's pages in allocation order.  ``place``
 gives the observation's k-th page the number of a run machine's k-th
@@ -60,6 +61,7 @@ __all__ = [
     "CollectorError",
     "CollectorPolicy",
     "Observation",
+    "Observer",
     "observe",
     "place",
     "collect",
@@ -137,6 +139,13 @@ class SimMachine:
         for _ in range(n):
             taken[_fresh_gpn(rng, taken)] = None
         return list(taken)
+
+    def copy(self) -> "SimMachine":
+        """An independent machine in this one's state, with an empty tap."""
+        new = SimMachine(self.cipher_seed, self.alloc_seed)
+        new._alloc_rng.setstate(self._alloc_rng.getstate())
+        new.pages = {gpn: mem[:] for gpn, mem in self.pages.items()}
+        return new
 
     # -- tap control ---------------------------------------------------
 
@@ -266,6 +275,13 @@ class _PageWindow:
         self.current: dict[int, bytes] = {}
         self.slot = slot  # index of its DataAccess in the output, if kept
 
+    def copy(self) -> "_PageWindow":
+        new = _PageWindow(self.gpn, self.slot)
+        new.lines = self.lines.copy()
+        new.baseline = self.baseline.copy()
+        new.current = self.current.copy()
+        return new
+
 
 @dataclass(frozen=True, slots=True)
 class Observation:
@@ -283,9 +299,19 @@ class Observation:
     pages: tuple[int, ...]
 
 
-def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
-            noise_seed: int = 0) -> Observation:
-    """Replay a raw tap through the collector state machine, in one pass.
+class Observer:
+    """The collector state machine, fed a raw tap in slices.
+
+    ``feed`` replays tap events in one pass; ``finish`` flushes the page
+    windows still mapped and returns the :class:`Observation`.  Feeding a
+    tap in any number of slices gives the same observation as feeding it
+    whole.  The state carried from one event to the next is the mapped
+    code page, the FIFO of data-page windows and its index by page, the
+    pages touched in the current step, the running counters, the marker
+    depth and whether events made now are kept, the noise stream and the
+    events so far.  ``copy`` forks that state: the copy and the original
+    then go on independently, sharing the events made so far, which are
+    immutable.
 
     Each event is made in its final form where it happens: a data access
     reserves its slot when its page faults and is filled in at eviction.
@@ -300,38 +326,49 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
     only its identity.  ``noise_seed`` seeds the cache noise draws; a
     noiseless policy draws nothing.
     """
-    rng = random.Random(noise_seed)
-    chans = policy.channels
-    page, cache, cipher, pmc = (c in chans for c in ("page", "cache", "cipher", "pmc"))
-    noisy = policy.drop_prob or policy.flip_prob
-    targeted = policy.targeted
 
-    events: list = []
-    append = events.append
-    keep = not targeted  # whether events made now are kept
-    cf_pages: set[int] = set()
-    mapped_code: int | None = None
-    queue: deque[_PageWindow] = deque()
-    by_gpn: dict[int, _PageWindow] = {}
-    step_touched: set[int] = set()
-    cap = policy.data_queue_len
-    marker_depth = 0
+    __slots__ = ("policy", "_rng", "_events", "_cf_pages", "_mapped_code", "_queue",
+                 "_by_gpn", "_step_touched", "_counters", "_depth", "_keep")
 
-    # counters: instructions, uops, branches, taken, returns
-    c_ins = c_uop = c_br = c_tk = c_rt = 0
+    def __init__(self, policy: CollectorPolicy, noise_seed: int = 0):
+        self.policy = policy
+        self._rng = random.Random(noise_seed)
+        self._events: list = []
+        self._cf_pages: set[int] = set()
+        self._mapped_code: int | None = None
+        self._queue: deque[_PageWindow] = deque()
+        self._by_gpn: dict[int, _PageWindow] = {}
+        self._step_touched: set[int] = set()
+        # instructions, uops, branches, taken, returns
+        self._counters = (0, 0, 0, 0, 0)
+        self._depth = 0
+        self._keep = not policy.targeted  # whether events made now are kept
 
-    def emit_counters():
-        nonlocal c_ins, c_uop, c_br, c_tk, c_rt
-        if pmc and keep:
-            append(_counter_snapshot((c_ins, c_uop, c_br, c_tk, c_rt)))
-        c_ins = c_uop = c_br = c_tk = c_rt = 0
+    def copy(self) -> "Observer":
+        """An independent observer in this one's state."""
+        new = object.__new__(Observer)
+        new.policy = self.policy
+        new._rng = random.Random()
+        new._rng.setstate(self._rng.getstate())
+        new._events = self._events.copy()
+        new._cf_pages = self._cf_pages.copy()
+        new._mapped_code = self._mapped_code
+        new._queue = deque(win.copy() for win in self._queue)
+        new._by_gpn = {win.gpn: win for win in new._queue}
+        new._step_touched = self._step_touched.copy()
+        new._counters = self._counters
+        new._depth = self._depth
+        new._keep = self._keep
+        return new
 
-    def finalize(win: _PageWindow):
+    def _finalize(self, win: _PageWindow) -> None:
         # A marker flushes every window, so one lives inside a single
         # marker region and ``keep`` is still what it was at its fault.
         # The line set observed while mapped goes through the noise model.
+        policy = self.policy
         lines = win.lines
-        if noisy:
+        if policy.drop_prob or policy.flip_prob:
+            rng = self._rng
             noisy_lines = set()
             for ln in sorted(lines):
                 if policy.drop_prob and rng.random() < policy.drop_prob:
@@ -341,9 +378,11 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
                 noisy_lines.add(ln)
             lines = noisy_lines
         if win.slot is not None:
-            events[win.slot] = _data_access(win.gpn, frozenset(lines) if cache else None)
+            self._events[win.slot] = _data_access(
+                win.gpn, frozenset(lines) if "cache" in policy.channels else None)
         # diff every block written while mapped against its value at fault
-        if cipher and keep:
+        if self._keep and "cipher" in policy.channels:
+            append = self._events.append
             gpn = win.gpn
             baseline, current = win.baseline, win.current
             for block in sorted(baseline):
@@ -351,87 +390,132 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
                 if cur != base:
                     append(_ciphertext_diff(gpn, block, base, cur))
 
-    def evict_front():
-        win = queue.popleft()
-        del by_gpn[win.gpn]
-        finalize(win)
+    def _evict_front(self) -> None:
+        win = self._queue.popleft()
+        del self._by_gpn[win.gpn]
+        self._finalize(win)
 
-    def flush_all():
-        while queue:
-            evict_front()
+    def feed(self, tap) -> None:
+        """Replay the next slice of a raw tap."""
+        policy = self.policy
+        chans = policy.channels
+        page, pmc = "page" in chans, "pmc" in chans
+        targeted = policy.targeted
+        cap = policy.data_queue_len
+        events = self._events
+        append = events.append
+        keep = self._keep
+        cf_pages = self._cf_pages
+        mapped_code = self._mapped_code
+        queue = self._queue
+        by_gpn = self._by_gpn
+        step_touched = self._step_touched
+        marker_depth = self._depth
+        evict_front = self._evict_front
+        c_ins, c_uop, c_br, c_tk, c_rt = self._counters
 
-    def fault(gpn: int):
-        # FIFO eviction, but never evict a page touched in the current
-        # step: a single step needs all its pages mapped at once, so the
-        # queue grows instead and shrinks back at the step boundary.
-        if len(queue) >= cap and queue[0].gpn not in step_touched:
-            evict_front()
-        slot = None
-        if page and keep:
-            slot = len(events)
-            append(None)
-        win = by_gpn[gpn] = _PageWindow(gpn, slot)
-        queue.append(win)
-        emit_counters()
-        return win
+        def emit_counters():
+            nonlocal c_ins, c_uop, c_br, c_tk, c_rt
+            if pmc and keep:
+                append(_counter_snapshot((c_ins, c_uop, c_br, c_tk, c_rt)))
+            c_ins = c_uop = c_br = c_tk = c_rt = 0
 
-    for ev in tap:
-        kind = ev[0]
-        if kind == READ or kind == WRITE:
-            gpn = ev[1]
-            c_ins += 1
-            c_uop += 2
-            win = by_gpn.get(gpn)
-            if win is None:
-                win = fault(gpn)
-            step_touched.add(gpn)
-            win.lines.add(ev[2])
-            if kind == WRITE:
-                block = ev[3]
-                if block not in win.baseline:
-                    win.baseline[block] = ev[4]
-                win.current[block] = ev[5]
-        elif kind == EXEC:
-            gpn = ev[1]
-            c_ins += 1
-            c_uop += 1
-            if gpn != mapped_code:
-                mapped_code = gpn
-                if page and keep:
-                    append(_code_fetch(gpn))
-                    cf_pages.add(gpn)
-                emit_counters()
-        elif kind == BRANCH:
-            c_ins += 1
-            c_uop += 1
-            c_br += 1
-            if ev[1]:
-                c_tk += 1
-            if ev[2]:
-                c_rt += 1
-        elif kind == STEP:
-            step_touched.clear()
-            while len(queue) > cap:
+        def fault(gpn: int):
+            # FIFO eviction, but never evict a page touched in the current
+            # step: a single step needs all its pages mapped at once, so the
+            # queue grows instead and shrinks back at the step boundary.
+            if len(queue) >= cap and queue[0].gpn not in step_touched:
                 evict_front()
-        elif kind == MARK:
-            mk = ev[1]
-            marker_depth += 1 if mk == "START" else -1
-            if marker_depth not in (0, 1):
-                raise CollectorError("unbalanced markers in workload")
-            # a marker visit flushes hypervisor tracking state: pending
-            # observations are read out and all mappings dropped
-            flush_all()
-            step_touched.clear()
-            mapped_code = None
-            keep = not targeted or marker_depth == 1
-            append(Marker(mk))
-        else:  # pragma: no cover - tap kinds are closed
-            raise CollectorError(f"unknown tap event kind: {kind}")
+            slot = None
+            if page and keep:
+                slot = len(events)
+                append(None)
+            win = by_gpn[gpn] = _PageWindow(gpn, slot)
+            queue.append(win)
+            emit_counters()
+            return win
 
-    if marker_depth != 0:
-        raise CollectorError("unbalanced markers in workload")
-    flush_all()
-    return Observation(chans, tuple(events), len(cf_pages), tuple(machine.pages))
+        for ev in tap:
+            kind = ev[0]
+            if kind == READ or kind == WRITE:
+                gpn = ev[1]
+                c_ins += 1
+                c_uop += 2
+                win = by_gpn.get(gpn)
+                if win is None:
+                    win = fault(gpn)
+                step_touched.add(gpn)
+                win.lines.add(ev[2])
+                if kind == WRITE:
+                    block = ev[3]
+                    if block not in win.baseline:
+                        win.baseline[block] = ev[4]
+                    win.current[block] = ev[5]
+            elif kind == EXEC:
+                gpn = ev[1]
+                c_ins += 1
+                c_uop += 1
+                if gpn != mapped_code:
+                    mapped_code = gpn
+                    if page and keep:
+                        append(_code_fetch(gpn))
+                        cf_pages.add(gpn)
+                    emit_counters()
+            elif kind == BRANCH:
+                c_ins += 1
+                c_uop += 1
+                c_br += 1
+                if ev[1]:
+                    c_tk += 1
+                if ev[2]:
+                    c_rt += 1
+            elif kind == STEP:
+                step_touched.clear()
+                while len(queue) > cap:
+                    evict_front()
+            elif kind == MARK:
+                mk = ev[1]
+                marker_depth += 1 if mk == "START" else -1
+                if marker_depth not in (0, 1):
+                    raise CollectorError("unbalanced markers in workload")
+                # a marker visit flushes hypervisor tracking state: pending
+                # observations are read out and all mappings dropped
+                while queue:
+                    evict_front()
+                step_touched.clear()
+                mapped_code = None
+                self._keep = keep = not targeted or marker_depth == 1
+                append(Marker(mk))
+            else:  # pragma: no cover - tap kinds are closed
+                raise CollectorError(f"unknown tap event kind: {kind}")
+
+        self._mapped_code = mapped_code
+        self._depth = marker_depth
+        self._counters = (c_ins, c_uop, c_br, c_tk, c_rt)
+
+    def finish(self, machine: SimMachine) -> Observation:
+        """Flush the windows still mapped; the observation of the tap fed so far.
+
+        ``machine`` is the observing machine, whose pages the observation
+        lists in allocation order.
+        """
+        if self._depth != 0:
+            raise CollectorError("unbalanced markers in workload")
+        while self._queue:
+            self._evict_front()
+        return Observation(self.policy.channels, tuple(self._events),
+                           len(self._cf_pages), tuple(machine.pages))
+
+
+def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
+            noise_seed: int = 0) -> Observation:
+    """Replay a raw tap through the collector state machine, in one pass.
+
+    The whole tap fed to a fresh :class:`Observer`, then finished.
+    """
+    observer = Observer(policy, noise_seed)
+    observer.feed(tap)
+    return observer.finish(machine)
 
 
 def place(obs: Observation, machine: SimMachine, trace_seed: int) -> Trace:

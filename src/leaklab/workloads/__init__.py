@@ -85,10 +85,19 @@ def build_workload(cfg: dict, inputs: list, run_seed: int):
 def observation_reusable(cfg: dict, policy: CollectorPolicy) -> bool:
     """Whether a run's observation depends on its inputs alone.
 
-    True when the workload kind takes no run seed and the collector is
-    noiseless (a noisy policy gets a per-run noise seed).  The pages of
-    such an observation are then placed per run, so one observation
-    serves every run with the same inputs.
+    The collector must be noiseless (a noisy policy gets a per-run noise
+    seed), and the run seed must not reach what it keeps.  It cannot when
+    the workload kind takes no run seed.  Nor can it for phh with the
+    ``aggregate`` window under a targeted policy: stage one draws no
+    randomness, and the padding and noise the run seed drives come after
+    the window closes, where a targeted policy keeps nothing.  (Its
+    ``noise_threshold`` window holds the noise draws; an untargeted
+    policy keeps what follows the window.)  The pages of such an
+    observation are placed per run, so one observation serves every run
+    with the same inputs.
     """
-    return (cfg.get("kind") in _UNSEEDED_KINDS
-            and not (policy.drop_prob or policy.flip_prob))
+    if policy.drop_prob or policy.flip_prob:
+        return False
+    kind = cfg.get("kind")
+    return kind in _UNSEEDED_KINDS or (
+        kind == "phh" and policy.targeted and cfg.get("marked_stage") == "aggregate")

@@ -10,6 +10,7 @@ granularity.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import struct
 
@@ -52,6 +53,17 @@ class SimHashMap:
         self.code_alloc = machine.alloc_page()
         self.code_miss = machine.alloc_page()
         self.code_rehash = machine.alloc_page()
+
+    def copy(self, machine: SimMachine) -> "SimHashMap":
+        """This map's state on ``machine``, a copy of its own machine."""
+        new = copy.copy(self)
+        new.m = machine
+        new._chains = [chain.copy() for chain in self._chains]
+        new._nodes = self._nodes.copy()
+        new._index = self._index.copy()
+        new._node_pages = self._node_pages.copy()
+        # _bucket_pages is replaced on growth, never changed in place
+        return new
 
     # -- layout helpers -------------------------------------------------
 

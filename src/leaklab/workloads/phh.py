@@ -15,6 +15,7 @@ library hashers it stands in for; only page numbers vary run to run.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field
 
@@ -36,12 +37,56 @@ class PhhResult:
     released: list[str] = field(default_factory=list)
 
 
+class Aggregation:
+    """Stage one's state on one machine: the map, the service's pages and
+    the release vector.
+
+    ``insert`` folds one key in.  Stage one draws no randomness, so this
+    state after a run of inserts depends on the keys alone, and a copy of
+    it can be resumed with further keys.
+    """
+
+    def __init__(self, m: SimMachine, hash_seed: int):
+        self.m = m
+        self.hmap = SimHashMap(m, hash_seed=hash_seed)
+        self.code_agg = m.alloc_page()
+        self.code_nt = m.alloc_page()
+        self.code_noise = m.alloc_page()
+        self.code_out = m.alloc_page()
+        self.vec_pages = m.alloc_pages(8)  # release vector, 8B refs, up to 4096 keys
+        self.scratch = m.alloc_page()
+        self.out_page = m.alloc_page()
+        self.vector: list[tuple[str, int, int]] = []  # (key, node page, node offset)
+
+    def copy(self) -> "Aggregation":
+        """An independent copy of this state, on a copy of its machine."""
+        new = copy.copy(self)
+        new.m = self.m.copy()
+        new.hmap = self.hmap.copy(new.m)
+        new.vector = self.vector.copy()
+        return new
+
+    def insert(self, key: str) -> None:
+        m = self.m
+        m.exec_page(self.code_agg)
+        if self.hmap.insert(key):
+            slot = len(self.vector)
+            self.vector.append((key, *self.hmap.node_ref(key)))
+            m.write(self.vec_pages[slot // 512], (slot % 512) * 8,
+                    struct.pack("<Q", slot + 1))
+        m.step()
+
+
 class HeavyHitters:
     """Runnable service instance; ``marked_stage`` picks the traced window.
 
     ``marked_stage`` is one of "aggregate", "noise_threshold", or None.
     Dummy padding happens between the stages, outside either window, so a
     stage-scoped trace never contains the padding inserts themselves.
+
+    A call runs ``begin``, one ``Aggregation.insert`` per input, ``end``
+    and ``release``; a caller may run the pieces itself, for instance to
+    stop stage one before its last key.
     """
 
     def __init__(self, inputs: list[str], eps: float, delta: float,
@@ -60,42 +105,35 @@ class HeavyHitters:
         self.hash_seed = int(hash_seed)
 
     def __call__(self, m: SimMachine) -> PhhResult:
-        rng = np.random.default_rng([self.seed & (2**63 - 1), 0x9E37])
-        hmap = SimHashMap(m, hash_seed=self.hash_seed)
-        code_agg = m.alloc_page()
-        code_nt = m.alloc_page()
-        code_noise = m.alloc_page()
-        code_out = m.alloc_page()
-        vec_pages = m.alloc_pages(8)  # release vector, 8B refs, up to 4096 keys
-        scratch = m.alloc_page()
-        out_page = m.alloc_page()
-        vector: list[tuple[str, int, int]] = []  # (key, node page, node offset)
+        agg = self.begin(m)
+        for key in self.inputs:
+            agg.insert(key)
+        self.end(agg)
+        return self.release(agg)
 
-        def vec_append(key: str) -> None:
-            slot = len(vector)
-            vector.append((key, *hmap.node_ref(key)))
-            m.write(vec_pages[slot // 512], (slot % 512) * 8, struct.pack("<Q", slot + 1))
-
-        def insert_one(key: str) -> None:
-            m.exec_page(code_agg)
-            if hmap.insert(key):
-                vec_append(key)
-            m.step()
-
-        # Stage one: aggregation.
+    def begin(self, m: SimMachine) -> Aggregation:
+        """Set the service up on ``m`` and open stage one, before any key."""
+        agg = Aggregation(m, self.hash_seed)
         if self.marked_stage == "aggregate":
             m.marker_start()
-        for key in self.inputs:
-            insert_one(key)
+        return agg
+
+    def end(self, agg: Aggregation) -> None:
+        """Close stage one, after its last key."""
         if self.marked_stage == "aggregate":
-            m.marker_stop()
+            agg.m.marker_stop()
+
+    def release(self, agg: Aggregation) -> PhhResult:
+        """Padding, then stage two, on a closed stage one."""
+        m, hmap, vector = agg.m, agg.hmap, agg.vector
+        rng = np.random.default_rng([self.seed & (2**63 - 1), 0x9E37])
 
         # Padding between the stages: fresh random dummy keys, each new.
         dummy_count = 0
         if self.mitigated:
             dummy_count = sample_dummy_count(self.eps, self.delta, rng)
             for i in range(dummy_count):
-                insert_one(f"{_DUMMY_PREFIX}{i}-{int(rng.integers(2**62)):016x}")
+                agg.insert(f"{_DUMMY_PREFIX}{i}-{int(rng.integers(2**62)):016x}")
 
         # Stage two: noise each vector entry, release those above threshold.
         # Counters are read through the node references captured at insert
@@ -108,17 +146,17 @@ class HeavyHitters:
         if self.marked_stage == "noise_threshold":
             m.marker_start()
         for slot, (key, node_page, node_off) in enumerate(vector):
-            m.exec_page(code_nt)
-            m.read(vec_pages[slot // 512], (slot % 512) * 8, 8)
+            m.exec_page(agg.code_nt)
+            m.read(agg.vec_pages[slot // 512], (slot % 512) * 8, 8)
             m.read(node_page, node_off + 8, 8)
             count = counts[key]
-            m.exec_page(code_noise)
+            m.exec_page(agg.code_noise)
             noisy, keep = noise_entry(count, self.eps, thresh, rng)
-            m.write(scratch, 0, struct.pack("<q", int(noisy) & (2**63 - 1)))
+            m.write(agg.scratch, 0, struct.pack("<q", int(noisy) & (2**63 - 1)))
             m.branch(taken=keep)
             if keep:
-                m.exec_page(code_out)
-                m.write(out_page, (len(released) % 256) * 16,
+                m.exec_page(agg.code_out)
+                m.write(agg.out_page, (len(released) % 256) * 16,
                         struct.pack("<Qq", slot + 1, int(noisy)))
                 released.append(key)
                 if not key.startswith(_DUMMY_PREFIX):

@@ -67,6 +67,13 @@ def test_bound_claim_verification(capsys):
     assert rep["ok"] is False
 
 
+def test_zero_delta_is_valid_but_unverified(capsys):
+    # delta 0 is in range: a report, with the padding not verified
+    for argv in (["bound", "--eps", "0.1"], ["sweep", "--eps-list", "0.1"]):
+        code, rep, _ = run_cli(capsys, *argv, "--delta", "0")
+        assert code == EXIT_VERIFY and rep["ok"] is False
+
+
 def test_bound_rejects_bad_params(capsys):
     code, rep, err = run_cli(capsys, "bound", "--eps", "0", "--delta", "0.01")
     assert code == EXIT_CONFIG
@@ -232,12 +239,26 @@ def test_analyze_usage_errors(capsys, loop_dataset, tmp_path):
     (["analyze", "--fingerprint", "--seq"], "--seq"),
     (["covert", "--text", "hi", "--reps", "0"], "--reps"),
     (["simulate", "--jobs", "0"], "--jobs"),
+    (["analyze", "--l2-lambda", "-1"], "--l2-lambda"),
+    (["analyze", "--l2-lambda", "nan"], "--l2-lambda"),
+    (["analyze", "--l2-lambda", "inf"], "--l2-lambda"),
+    (["bound", "--eps", "0.1", "--delta", "2"], "--delta"),
+    (["bound", "--eps", "0.1", "--delta", "1"], "--delta"),
+    (["bound", "--eps", "0.1", "--delta", "-1"], "--delta"),
+    (["bound", "--eps", "0.1", "--delta", "nan"], "--delta"),
+    (["bound", "--eps", "nan", "--delta", "0.01"], "--eps"),
+    (["bound", "--eps", "inf", "--delta", "0.01"], "--eps"),
+    (["sweep", "--eps-list", "0.1", "--delta", "2"], "--delta"),
+    (["sweep", "--eps-list", "0.1", "--delta", "-1"], "--delta"),
+    (["sweep", "--eps-list", "0.1", "--delta", "nan"], "--delta"),
+    (["sweep", "--eps-list", "0.1,nan", "--delta", "0.01"], "--eps-list"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, loop_dataset, tmp_path, argv, flag):
     # each flag is rejected before any work, naming the flag
     rest = {"analyze": ["--dataset", str(loop_dataset)], "covert": [],
             "simulate": ["--config", write_config(tmp_path, LOOP_CONFIG),
-                         "--out", str(tmp_path / "ds")]}[argv[0]]
+                         "--out", str(tmp_path / "ds")],
+            "bound": [], "sweep": []}[argv[0]]
     capsys.readouterr()
     code, rep, err = run_cli(capsys, *argv, *rest)
     assert code == EXIT_CONFIG and rep is None and flag in err

@@ -23,6 +23,7 @@ from leaklab.machine import CollectorPolicy, SimMachine
 from leaklab.schemas import SchemaError
 from leaklab.trace import write_trace
 from leaklab.workloads import (
+    PRIME_LADDER,
     HashMapPir,
     HeavyHitters,
     LinearScanPir,
@@ -30,6 +31,7 @@ from leaklab.workloads import (
     SyntheticLoop,
     build_workload,
 )
+from leaklab.workloads.phh import Aggregation
 
 from oracle_collect import oracle_collect
 
@@ -293,6 +295,8 @@ def test_dataset_load_rejects_edited_config(tmp_path):
 # -- observation reuse ---------------------------------------------------------
 
 FULL_POLICY = {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True}
+AT_RUNG = {"kind": "list",
+           "values": [f"s{i % PRIME_LADDER[1]:02d}.io" for i in range(40)]}
 
 KIND_CFGS = {
     "phh": dict(workload={"kind": "phh", "eps": 2.0, "delta": 1e-6},
@@ -302,6 +306,15 @@ KIND_CFGS = {
                                     "mitigated": True},
                           x0="a.io", x1="b.io",
                           sybil={"kind": "list", "values": ["c.io", "d.io"]}),
+    # the sybil list fills the table to a ladder rung (29 buckets), so
+    # the new secret x1 forces a growth pass inside the window
+    "phh-aggregate": dict(workload={"kind": "phh", "eps": 2.0, "delta": 1e-6,
+                                    "marked_stage": "aggregate"},
+                          x0="s07.io", x1="new.io", sybil=AT_RUNG),
+    "phh-aggregate-mitigated": dict(workload={"kind": "phh", "eps": 2.0, "delta": 1e-6,
+                                              "mitigated": True,
+                                              "marked_stage": "aggregate"},
+                                    x0="s07.io", x1="new.io", sybil=AT_RUNG),
     "synthetic_loop": dict(workload={"kind": "synthetic_loop", "eps": 5.0, "delta": 1e-6},
                            x0=2, x1=9),
     "pir_scan": dict(workload={"kind": "pir_scan", "db_size": 200},
@@ -375,6 +388,21 @@ def test_each_generation_simulates_its_own_secrets(workload_calls):
         [write_trace(e.load()) for e in second.entries]
     run_distinguishing_game(_kind_config("pir_hashmap"))
     assert workload_calls["HashMapPir"] == 2
+
+
+def test_phh_prefix_is_simulated_once(monkeypatch, workload_calls):
+    # one serial generation: every sybil input is inserted once, into the
+    # shared checkpoint, and each distinct secret once, into a copy of it
+    inserted = collections.Counter()
+    insert = Aggregation.insert
+    monkeypatch.setattr(Aggregation, "insert",
+                        lambda self, key: inserted.update([key]) or insert(self, key))
+    for name in ("phh-aggregate", "phh-aggregate-mitigated"):
+        inserted.clear()
+        cfg = _kind_config(name)
+        run_distinguishing_game(cfg)
+        assert inserted == collections.Counter(_sybil_list(cfg.sybil) + [cfg.x0, cfg.x1])
+    assert workload_calls == {}
 
 
 @pytest.mark.parametrize("name", ["pir_scan-noisy", "pir_oram", "synthetic_loop", "phh"])

@@ -9,6 +9,7 @@ from leaklab.machine import (
     CollectorPolicy,
     CollectorError,
     MachineFault,
+    Observer,
     SimMachine,
     collect,
     observe,
@@ -482,6 +483,47 @@ def test_collect_matches_oracle_on_fuzzed_taps(rng):
         obs = observe(other, other.tap, policy, noise_seed)
         assert obs.pages == tuple(other.pages) and len(obs.pages) == len(m.pages)
         assert place(obs, m, seed) == expected
+
+
+def _stray_tap(rng, m):
+    """Reads, writes and steps on ``m``'s pages, made on a copy of it."""
+    other = m.copy()
+    pages = list(other.pages)
+    for _ in range(int(rng.integers(1, 12))):
+        gpn = pages[int(rng.integers(0, len(pages)))]
+        off = int(rng.integers(0, 4000))
+        if rng.random() < 0.5:
+            other.read(gpn, off, int(rng.integers(1, 96)))
+        else:
+            other.write(gpn, off, bytes(rng.integers(0, 256, size=int(rng.integers(1, 96)),
+                                                     dtype=np.uint8)))
+        if rng.random() < 0.3:
+            other.step()
+    return other.tap
+
+
+def test_observer_fed_in_slices_matches_oracle(rng):
+    # a tap cut at random points and fed slice by slice gives the oracle's
+    # trace; so does a copy forked at a cut and fed the rest.  Neither
+    # finishing that copy (which evicts, draws noise and fills slots) nor
+    # feeding another copy a stray tap changes what the original finishes
+    for _ in range(300):
+        workload, m, policy, noise_seed, seed = _fuzzed_run(rng)
+        m.reset_tap()
+        workload(m)
+        tap = m.tap
+        expected = oracle_collect(m, tap, policy, seed, noise_seed)
+        cuts = sorted(rng.integers(0, len(tap) + 1, size=int(rng.integers(1, 5))).tolist())
+        fork_at = int(rng.integers(0, len(cuts)))
+        observer = Observer(policy, noise_seed)
+        for i, (a, b) in enumerate(zip([0] + cuts, cuts + [len(tap)])):
+            if i == fork_at + 1:
+                fork = observer.copy()
+                fork.feed(tap[a:])
+                assert place(fork.finish(m), m, seed) == expected
+                observer.copy().feed(_stray_tap(rng, m))
+            observer.feed(tap[a:b])
+        assert place(observer.finish(m), m, seed) == expected
 
 
 def test_layout_replays_allocation():

@@ -1,6 +1,7 @@
 """Workload behavior: hashmap, aggregation service, retrieval, covert."""
 
 import collections
+import dataclasses
 import struct
 
 import numpy as np
@@ -154,6 +155,33 @@ def test_phh_mitigated_pads_vector():
     assert res.dummy_count >= 1
     assert res.nt_iterations == 1 + res.dummy_count
     assert set(res.survivors) <= {"k0"}
+
+
+def test_aggregation_copy_is_independent():
+    # copies of stage one's state resumed with more keys (new ones, with
+    # and without a growth pass, and repeats) leave the original to go on
+    # exactly like a run that never made them
+    keys = [f"k{i:02d}.io" for i in range(40)]
+
+    def run(forks):
+        m = SimMachine(cipher_seed=2, alloc_seed=3)
+        wl = HeavyHitters(keys, eps=1.0, delta=1e-6, marked_stage="aggregate")
+        agg = wl.begin(m)
+        for key in keys[:20]:
+            agg.insert(key)
+        for fork_keys in forks:
+            fork = agg.copy()
+            assert fork.m.tap == [] and fork.m.pages == m.pages
+            for key in fork_keys:
+                fork.insert(key)
+        for key in keys[20:]:
+            agg.insert(key)
+        wl.end(agg)
+        wl.release(agg)
+        return m.tap
+
+    new = [f"new{i:02d}.io" for i in range(40)]
+    assert run([new[:5] + keys[:3], new]) == run([])
 
 
 def test_phh_rejects_dummy_namespace_inputs():
@@ -460,30 +488,43 @@ def test_secret_message_validation():
 # observation reuse
 # ---------------------------------------------------------------------------
 
+# eps small enough that the run seed shows wherever it reaches the trace
+PHH = {"kind": "phh", "eps": 0.1, "delta": 1e-6}
+PHH_AGG = {**PHH, "marked_stage": "aggregate"}
+PHH_KEYS = ["a.io", "b.io", "a.io", "c.io"]
+UNTARGETED = CollectorPolicy(channels=FULL_POLICY.channels, targeted=False)
+
 REUSE_CASES = [
-    ({"kind": "phh", "eps": 2.0, "delta": 1e-6}, ["a.io", "b.io", "a.io"], False),
-    ({"kind": "synthetic_loop", "eps": 5.0, "delta": 1e-6}, [3], False),
-    ({"kind": "pir_oram", "db_size": 16, "height": 4}, [2, 9], False),
-    ({"kind": "pir_scan", "db_size": 150}, [0, 0, 77], True),
-    ({"kind": "pir_hashmap", "db_size": 40}, ["record-00001", "missing"], True),
+    ("phh", PHH, PHH_KEYS, FULL_POLICY, False),
+    ("phh-noise_threshold", {**PHH, "marked_stage": "noise_threshold"},
+     PHH_KEYS, FULL_POLICY, False),
+    ("phh-aggregate", PHH_AGG, PHH_KEYS, FULL_POLICY, True),
+    ("phh-aggregate-mitigated", {**PHH_AGG, "mitigated": True},
+     PHH_KEYS, FULL_POLICY, True),
+    ("phh-aggregate-untargeted", {**PHH_AGG, "mitigated": True},
+     PHH_KEYS, UNTARGETED, False),
+    ("synthetic_loop", {"kind": "synthetic_loop", "eps": 0.1, "delta": 1e-6}, [3],
+     FULL_POLICY, False),
+    ("pir_oram", {"kind": "pir_oram", "db_size": 16, "height": 4}, [2, 9], FULL_POLICY, False),
+    ("pir_scan", {"kind": "pir_scan", "db_size": 150}, [0, 0, 77], FULL_POLICY, True),
+    ("pir_hashmap", {"kind": "pir_hashmap", "db_size": 40}, ["record-00001", "missing"],
+     FULL_POLICY, True),
 ]
 
 
-@pytest.mark.parametrize("cfg,inputs,reusable", REUSE_CASES,
-                         ids=[c[0]["kind"] for c in REUSE_CASES])
-def test_reuse_rule_holds(cfg, inputs, reusable):
-    assert observation_reusable(cfg, FULL_POLICY) is reusable
-    noisy = CollectorPolicy(channels=FULL_POLICY.channels, targeted=True, drop_prob=0.1)
+@pytest.mark.parametrize("cfg,inputs,policy,reusable", [c[1:] for c in REUSE_CASES],
+                         ids=[c[0] for c in REUSE_CASES])
+def test_reuse_rule_holds(cfg, inputs, policy, reusable):
+    assert observation_reusable(cfg, policy) is reusable
+    noisy = dataclasses.replace(policy, drop_prob=0.1)
     assert not observation_reusable(cfg, noisy)
-    if not reusable:
-        return
-    # an observation the rule calls reusable, made under run seed A and
-    # placed on run seed B's machine, is B's own trace
+    # an observation made under run seed A and placed on run seed B's
+    # machine is B's own trace exactly when the rule calls it reusable
     machines = {}
     for run_seed in (1, 2**62 + 7):
         m = machines[run_seed] = SimMachine(cipher_seed=run_seed, alloc_seed=run_seed)
         build_workload(cfg, inputs, run_seed)(m)
     a, b = machines.values()
-    expected = collect(b, b.tap, FULL_POLICY, trace_seed=5)
-    assert place(observe(a, a.tap, FULL_POLICY), b, 5) == expected
+    expected = collect(b, b.tap, policy, trace_seed=5)
+    assert (place(observe(a, a.tap, policy), b, 5) == expected) is reusable
     assert len(expected.events) > 10
