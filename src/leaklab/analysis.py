@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "LogRegModel",
@@ -29,6 +28,7 @@ __all__ = [
     "SetResult",
     "AdvantageReport",
     "advantage_from_matrices",
+    "advantage_reports",
     "evaluate_advantage",
     "evaluate_seq_advantage",
     "FingerprintReport",
@@ -44,7 +44,12 @@ __all__ = [
 # logistic regression
 # ---------------------------------------------------------------------------
 
+# scipy.sparse and scipy.optimize are imported where a matrix is built or
+# fitted: loading them costs more than bound, sweep or simulate run for.
+
 def _as_matrix(X):
+    import scipy.sparse
+
     if scipy.sparse.issparse(X):
         return scipy.sparse.csr_matrix(X, dtype=np.float64)
     return np.asarray(X, dtype=np.float64)
@@ -87,6 +92,8 @@ class LogRegModel:
 
 
 def _standardization(X):
+    import scipy.sparse
+
     if scipy.sparse.issparse(X):
         # column scaling only: centering would densify the matrix, and
         # hashed-count features are near-centered anyway
@@ -103,6 +110,8 @@ def _standardization(X):
 def _standardize(X, mean, scale):
     """``(X - mean) / scale``: a sparse ``X`` has a zero ``mean`` (see
     :func:`_standardization`) and is only scaled, so that it stays sparse."""
+    import scipy.sparse
+
     if scipy.sparse.issparse(X):
         return X.multiply(1.0 / scale).tocsr()
     return (X - mean) / scale
@@ -117,7 +126,8 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     gradient norm at the returned weights is stored on the model and is
     expected to be at most 1e-4.
     """
-    import scipy.optimize  # about 0.6 s to import; only fits need it
+    import scipy.optimize
+    import scipy.sparse
 
     X = _as_matrix(X)
     y = np.asarray(y)
@@ -283,13 +293,17 @@ class AdvantageReport:
         }
 
 
-def _walk(dataset, featurize) -> tuple[list, list]:
-    """``featurize(trace)`` and the label of every trace, in dataset order."""
-    rows, labels = [], []
+def _walk(dataset, *featurize) -> tuple[list, ...]:
+    """Each ``featurize(trace)`` over every trace in dataset order, then
+    the labels: each trace is loaded and parsed once, whatever the number
+    of featurizers.  No trace outlives the walk."""
+    columns = [[] for _ in featurize]
+    labels = []
     for trace, label in dataset.iter_labeled():
-        rows.append(featurize(trace))
+        for column, f in zip(columns, featurize):
+            column.append(f(trace))
         labels.append(label)
-    return rows, labels
+    return (*columns, labels)
 
 
 def _trial_accuracies(X, y, seed: tuple, trials: int, test_frac: float,
@@ -317,6 +331,8 @@ def advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
     seeded ``(split_seed, trial)``, plus one on the column-wise union of
     the sets when there are several.
     """
+    import scipy.sparse
+
     y = np.asarray(y)
     mats = {name: _as_matrix(X) for name, X in X_by_set.items()}
     if len(mats) > 1:
@@ -333,6 +349,50 @@ def advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
     )
 
 
+def advantage_reports(dataset, feature_sets=None, *, seq: bool = False,
+                      params=None, trials: int = 5, test_frac: float = 0.2,
+                      l2_lambda: float = 1.0,
+                      iterations: int = 1000) -> dict[str, AdvantageReport]:
+    """The reports of :func:`evaluate_advantage` (under ``"advantage"``,
+    unless ``feature_sets`` is None) and :func:`evaluate_seq_advantage`
+    (under ``"seq"``, when ``seq`` is set) from one walk over the dataset,
+    so each trace is loaded and parsed once.
+    """
+    from .features import FeatureParams, extract_features, ngram_hash_matrix, tokenize
+
+    params = params or FeatureParams()
+    fv = None
+
+    def featurize(trace):
+        nonlocal fv
+        fv = extract_features(trace, feature_sets, params)
+        return fv.values
+
+    walk = {}
+    if feature_sets is not None:
+        feature_sets = list(feature_sets)
+        walk["advantage"] = featurize
+    if seq:
+        walk["seq"] = lambda trace: tokenize(trace).tokens
+    *columns, labels = _walk(dataset, *walk.values())
+    columns = dict(zip(walk, columns))
+
+    fit = dict(trials=trials, test_frac=test_frac, l2_lambda=l2_lambda,
+               iterations=iterations, split_seed=getattr(dataset, "base_seed", 0))
+    reports = {}
+    if "advantage" in columns:
+        # split the columns per set; names carry the set as a "F<k>." prefix
+        X = np.vstack(columns["advantage"])
+        prefixes = [n.split(".", 1)[0] for n in fv.names]
+        X_by_set = {name: X[:, [p == name for p in prefixes]]
+                    for name in feature_sets}
+        reports["advantage"] = advantage_from_matrices(X_by_set, labels, **fit)
+    if "seq" in columns:
+        reports["seq"] = advantage_from_matrices(
+            {"seq": ngram_hash_matrix(columns["seq"])}, labels, **fit)
+    return reports
+
+
 def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
                        test_frac: float = 0.2, l2_lambda: float = 1.0,
                        iterations: int = 1000) -> AdvantageReport:
@@ -342,28 +402,9 @@ def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
     ``iter_labeled()`` and exposing ``base_seed``; labels must form a
     two-class problem.
     """
-    from .features import FeatureParams, extract_features
-
-    params = params or FeatureParams()
-    feature_sets = list(feature_sets)
-    fv = None
-
-    def featurize(trace):
-        nonlocal fv
-        fv = extract_features(trace, feature_sets, params)
-        return fv.values
-
-    rows, labels = _walk(dataset, featurize)
-    # split the columns per set; names carry the set as a "F<k>." prefix
-    X = np.vstack(rows)
-    prefixes = [n.split(".", 1)[0] for n in fv.names]
-    X_by_set = {name: X[:, [p == name for p in prefixes]]
-                for name in feature_sets}
-    return advantage_from_matrices(
-        X_by_set, labels, trials=trials, test_frac=test_frac,
-        l2_lambda=l2_lambda, iterations=iterations,
-        split_seed=getattr(dataset, "base_seed", 0),
-    )
+    return advantage_reports(
+        dataset, feature_sets, params=params, trials=trials, test_frac=test_frac,
+        l2_lambda=l2_lambda, iterations=iterations)["advantage"]
 
 
 def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
@@ -376,14 +417,9 @@ def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
     is trained on those counts.  Captures local ordering that the
     handcrafted count features discard.
     """
-    from .features import ngram_hash_matrix, tokenize
-
-    seqs, labels = _walk(dataset, lambda trace: tokenize(trace).tokens)
-    return advantage_from_matrices(
-        {"seq": ngram_hash_matrix(seqs)}, labels, trials=trials,
-        test_frac=test_frac, l2_lambda=l2_lambda, iterations=iterations,
-        split_seed=getattr(dataset, "base_seed", 0),
-    )
+    return advantage_reports(
+        dataset, seq=True, trials=trials, test_frac=test_frac,
+        l2_lambda=l2_lambda, iterations=iterations)["seq"]
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    from .analysis import (evaluate_advantage, evaluate_seq_advantage,
-                           fingerprint_advantage)
+    from .analysis import advantage_reports, fingerprint_advantage
     from .features import FeatureParams
     from .games import LabeledDataset
 
@@ -184,14 +183,11 @@ def _cmd_analyze(args) -> int:
         results["fingerprint"] = rep.to_json()
     else:
         names = _parse_sets(args.sets)
-        if names:
-            rep = evaluate_advantage(ds, names, params=params, **kw)
-            results["advantage"] = rep.to_json()
-        if args.seq:
-            rep = evaluate_seq_advantage(ds, **kw)
-            results["seq"] = rep.to_json()
         if not names and not args.seq:
             raise _config_error("nothing to analyze: give --sets and/or --seq")
+        reports = advantage_reports(ds, names or None, seq=args.seq,
+                                    params=params, **kw)
+        results.update((key, rep.to_json()) for key, rep in reports.items())
 
     if args.svg:
         from .plotting import bar_chart
@@ -258,6 +254,10 @@ def _check_eps_delta(eps_flag: str, eps_values, delta: float) -> None:
 
 def _cmd_bound(args) -> int:
     _check_eps_delta("--eps", [args.eps], args.delta)
+    if args.claim_eps is not None and not 0.0 < args.claim_eps < math.inf:
+        raise _config_error("--claim-eps must be finite and > 0")
+    if args.claim_delta is not None and not 0.0 <= args.claim_delta < 1.0:
+        raise _config_error("--claim-delta must be in [0, 1)")
     row = _bound_row(args.eps, args.delta)
     if args.claim_eps is not None:
         from .mitigation import verify_dummy_dp

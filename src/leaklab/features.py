@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .trace import (
     BLOCKS_PER_PAGE,
@@ -327,6 +326,8 @@ def ngram_hash_matrix(sequences, max_ngram: int = 3, dim: int = 2 ** 15):
     Bucketing uses a fixed polynomial hash, so the embedding is
     deterministic across runs and platforms.
     """
+    import scipy.sparse  # heavy to import; no other feature needs it
+
     if max_ngram < 1:
         raise ValueError("max_ngram must be >= 1")
     indptr = [0]

@@ -193,13 +193,32 @@ def test_analyze_feature_sets(capsys, loop_dataset):
         (loop_dataset / "dataset.json").read_text())["config_hash"]
 
 
-def test_analyze_seq_and_union(capsys, loop_dataset):
+def test_analyze_seq_and_union(capsys, loop_dataset, monkeypatch):
+    from leaklab import games
+    from leaklab.analysis import evaluate_advantage, evaluate_seq_advantage
+    from leaklab.features import FeatureParams
+
+    parsed = []
+    parse = games.parse_trace
+    monkeypatch.setattr(games, "parse_trace",
+                        lambda text: parsed.append(text) or parse(text))
     capsys.readouterr()
     code, rep, _ = run_cli(capsys, "analyze", "--dataset", str(loop_dataset),
                            "--sets", "F1,F5", "--seq", "--trials", "2")
     assert code == EXIT_OK
     assert set(rep["results"]["advantage"]["sets"]) == {"F1", "F5", "union"}
     assert "seq" in rep["results"]["seq"]["sets"]
+    # --sets with --seq walks the dataset once ...
+    ds = games.LabeledDataset.load(loop_dataset)
+    assert len(parsed) == len(ds) == 12
+    # ... and reports what the two separate measurements report
+    p = rep["params"]
+    kw = {k: p[k] for k in ("trials", "test_frac", "l2_lambda", "iterations")}
+    params = FeatureParams(n_bins=p["n_bins"], m_cf=p["m_cf"], m_da=p["m_da"])
+    apart = {"advantage": evaluate_advantage(ds, ["F1", "F5"], params=params, **kw),
+             "seq": evaluate_seq_advantage(ds, **kw)}
+    for key, report in apart.items():
+        assert rep["results"][key] == json.loads(json.dumps(report.to_json()))
 
 
 def test_analyze_svg_output(capsys, loop_dataset, tmp_path):
@@ -252,6 +271,18 @@ def test_analyze_usage_errors(capsys, loop_dataset, tmp_path):
     (["sweep", "--eps-list", "0.1", "--delta", "-1"], "--delta"),
     (["sweep", "--eps-list", "0.1", "--delta", "nan"], "--delta"),
     (["sweep", "--eps-list", "0.1,nan", "--delta", "0.01"], "--eps-list"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "nan"], "--claim-eps"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "-1"], "--claim-eps"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "0"], "--claim-eps"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "inf"], "--claim-eps"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "1",
+      "--claim-delta", "nan"], "--claim-delta"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "1",
+      "--claim-delta", "2"], "--claim-delta"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "1",
+      "--claim-delta", "1"], "--claim-delta"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "1",
+      "--claim-delta", "-0.5"], "--claim-delta"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, loop_dataset, tmp_path, argv, flag):
     # each flag is rejected before any work, naming the flag
@@ -345,3 +376,27 @@ def test_console_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["command"] == "bound"
+
+
+def test_non_fit_commands_leave_scipy_unloaded(tmp_path):
+    # only fits need scipy: simulate (also --dry-run), bound, sweep and
+    # covert must run without loading any of it
+    cfg = write_config(tmp_path, LOOP_CONFIG)
+    code = f"""
+import contextlib, io, sys
+from leaklab.cli import main
+runs = [
+    ["simulate", "--config", {cfg!r}, "--out", {str(tmp_path / "dry")!r}, "--dry-run"],
+    ["simulate", "--config", {cfg!r}, "--out", {str(tmp_path / "ds")!r}],
+    ["bound", "--eps", "0.5", "--delta", "0.01", "--claim-eps", "1"],
+    ["sweep", "--eps-list", "0.1,0.5", "--delta", "0.01"],
+    ["covert", "--text", "hi"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"
+    assert (tmp_path / "ds" / "dataset.json").is_file()
