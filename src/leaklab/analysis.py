@@ -125,6 +125,16 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     strongly convex, and the fit is deterministic given the inputs.  The
     gradient norm at the returned weights is stored on the model and is
     expected to be at most 1e-4.
+
+    A column that is exactly zero on every standardized training row (a
+    sparse column with no stored entry, or a dense one that is constant
+    and standardizes to exact zeros) is seen only by the penalty, so its
+    optimal weight is 0: the solver runs on the other columns and those
+    weights are 0 in ``weights``, whose shape stays (d,) or (d, K).  With
+    no such column the fit is exactly the full-dimension one.  With
+    some, the iterates round differently, so the weights equal the
+    full-dimension optimum to solver tolerance (about 1e-9), not
+    bitwise, and the gradient norm stays far below 1e-4.
     """
     import scipy.optimize
     import scipy.sparse
@@ -147,7 +157,14 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
 
     mean, scale = _standardization(X)
     Xs = _standardize(X, mean, scale)
-    n, d = Xs.shape
+    n, full_d = Xs.shape
+    if scipy.sparse.issparse(Xs):
+        active = Xs.getnnz(axis=0) > 0
+    else:
+        active = np.any(Xs != 0, axis=0)
+    if not active.all():
+        Xs = Xs[:, active]
+    d = Xs.shape[1]
 
     if k == 2:
         yb = (y == classes[1]).astype(np.float64)
@@ -205,6 +222,12 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
         weights, bias = theta[:d], np.float64(theta[d])
     else:
         weights, bias = theta[: d * k].reshape(d, k), theta[d * k:]
+    if d < full_d:
+        # the gradient of a dropped column is 0 at weight 0, so grad_norm
+        # above is also the full-dimension one
+        full = np.zeros((full_d, *weights.shape[1:]))
+        full[active] = weights
+        weights = full
     return LogRegModel(
         classes=classes, weights=weights, bias=bias, mean=mean, scale=scale,
         l2_lambda=l2_lambda, loss_history=history, grad_norm=grad_norm,

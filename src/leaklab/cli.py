@@ -258,6 +258,8 @@ def _cmd_bound(args) -> int:
         raise _config_error("--claim-eps must be finite and > 0")
     if args.claim_delta is not None and not 0.0 <= args.claim_delta < 1.0:
         raise _config_error("--claim-delta must be in [0, 1)")
+    if args.claim_delta is not None and args.claim_eps is None:
+        raise _config_error("--claim-delta needs --claim-eps")
     row = _bound_row(args.eps, args.delta)
     if args.claim_eps is not None:
         from .mitigation import verify_dummy_dp

@@ -383,15 +383,23 @@ def parse_trace(text: str) -> Trace:
     append = events.append
     # PN, CF and MA lines repeat often (a phh trace has about 9k of them
     # but under 1.6k distinct ones); an event is immutable, so a repeated
-    # line is checked and built once and its event shared
+    # line, as written, is checked and built once and its event shared.
+    # Headers and markers never enter it: their meaning depends on where
+    # they stand.
     seen: dict[str, TraceEvent] = {}
+    # a CI line's bytes rarely repeat, but its page and block tokens do
+    ci_gpns: dict[str, int] = {}
+    ci_blocks: dict[str, int] = {}
     cf_pages: set[int] = set()
     inside = False
     misnested = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        ev = seen.get(line)
+        if ev is not None:
+            append(ev)
+            continue
+        raw = line.split("#", 1)[0] if "#" in line else line
         toks = raw.split()
         if not toks:
             continue
@@ -401,8 +409,13 @@ def parse_trace(text: str) -> Trace:
         if kind == "CI":
             if ntok != 6 or toks[2] != "BK":
                 raise TraceSyntaxError(lineno, "CI takes page, BK, block, before, after")
-            gpn = _parse_gpn(toks[1], lineno)
-            block = _parse_uint(toks[3], lineno, "block index", BLOCKS_PER_PAGE)
+            gpn = ci_gpns.get(toks[1])
+            if gpn is None:
+                gpn = ci_gpns[toks[1]] = _parse_gpn(toks[1], lineno)
+            block = ci_blocks.get(toks[3])
+            if block is None:
+                block = ci_blocks[toks[3]] = _parse_uint(
+                    toks[3], lineno, "block index", BLOCKS_PER_PAGE)
             try:
                 before = bytes.fromhex(toks[4])
                 after = bytes.fromhex(toks[5])
@@ -414,44 +427,38 @@ def parse_trace(text: str) -> Trace:
                 raise TraceSyntaxError(lineno, "ciphertext diff with identical before/after")
             append(_ciphertext_diff(gpn, block, before, after))
         elif kind == "PN":
-            ev = seen.get(raw)
-            if ev is None:
-                if ntok != 1 + len(COUNTER_NAMES):
-                    raise TraceSyntaxError(
-                        lineno, f"PN takes {len(COUNTER_NAMES)} counter values"
-                    )
-                try:
-                    vals = tuple(map(int, toks[1:]))
-                except ValueError:
-                    vals = None
-                if vals is None or min(vals) < 0 or max(vals) >= _COUNTER_LIMIT:
-                    # raises, naming the first bad value
-                    vals = tuple(
-                        _parse_uint(t, lineno, "counter", _COUNTER_LIMIT)
-                        for t in toks[1:]
-                    )
-                ev = seen[raw] = _counter_snapshot(vals)
+            if ntok != 1 + len(COUNTER_NAMES):
+                raise TraceSyntaxError(
+                    lineno, f"PN takes {len(COUNTER_NAMES)} counter values"
+                )
+            try:
+                vals = tuple(map(int, toks[1:]))
+            except ValueError:
+                vals = None
+            if vals is None or min(vals) < 0 or max(vals) >= _COUNTER_LIMIT:
+                # raises, naming the first bad value
+                vals = tuple(
+                    _parse_uint(t, lineno, "counter", _COUNTER_LIMIT)
+                    for t in toks[1:]
+                )
+            ev = seen[line] = _counter_snapshot(vals)
             append(ev)
         elif kind == "CF":
-            ev = seen.get(raw)
-            if ev is None:
-                if ntok != 2:
-                    raise TraceSyntaxError(lineno, "CF takes one page number")
-                gpn = _parse_gpn(toks[1], lineno)
-                cf_pages.add(gpn)
-                ev = seen[raw] = _code_fetch(gpn)
+            if ntok != 2:
+                raise TraceSyntaxError(lineno, "CF takes one page number")
+            gpn = _parse_gpn(toks[1], lineno)
+            cf_pages.add(gpn)
+            ev = seen[line] = _code_fetch(gpn)
             append(ev)
         elif kind == "MA":
-            ev = seen.get(raw)
-            if ev is None:
-                if ntok == 2:
-                    ev = _data_access(_parse_gpn(toks[1], lineno), None)
-                elif ntok == 4 and toks[2] == "CL":
-                    gpn = _parse_gpn(toks[1], lineno)
-                    ev = _data_access(gpn, _parse_cache_lines(toks[3], lineno))
-                else:
-                    raise TraceSyntaxError(lineno, "MA takes a page and optional CL list")
-                seen[raw] = ev
+            if ntok == 2:
+                ev = _data_access(_parse_gpn(toks[1], lineno), None)
+            elif ntok == 4 and toks[2] == "CL":
+                gpn = _parse_gpn(toks[1], lineno)
+                ev = _data_access(gpn, _parse_cache_lines(toks[3], lineno))
+            else:
+                raise TraceSyntaxError(lineno, "MA takes a page and optional CL list")
+            seen[line] = ev
             append(ev)
         elif kind == "MARK":
             if ntok != 2 or toks[1] not in ("START", "STOP"):

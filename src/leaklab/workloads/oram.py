@@ -16,6 +16,7 @@ writes and drop out of the cipher channel.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -82,13 +83,31 @@ class PathOram:
         return (int.from_bytes(data, "little")
                 ^ int.from_bytes(ks, "little")).to_bytes(_PAYLOAD, "little")
 
-    def _seal(self, payload: bytes) -> bytes:
-        if self.flaw and payload == b"\x00" * _PAYLOAD:
-            return payload + b"\x00" * _NONCE
-        nonce = bytes(self.rng.integers(0, 256, size=_NONCE, dtype=np.uint8))
-        if nonce == b"\x00" * _NONCE:
-            nonce = b"\x01" + nonce[1:]
-        return self._xor_keystream(payload, nonce) + nonce
+    def _seal_all(self, payloads: list[bytes]) -> list[bytes]:
+        """Seal ``payloads`` in order under fresh nonces.
+
+        The nonces come from one draw: numpy fills uint8 draws from
+        buffered 32-bit words and a nonce is four whole words, so the bytes
+        and the generator state after the draw are those of one draw per
+        seal.  With the flaw, a zero payload is stored raw and draws
+        nothing.
+        """
+        zero = b"\x00" * _PAYLOAD
+        drawn = [not (self.flaw and p == zero) for p in payloads]
+        nonces = self.rng.integers(0, 256, size=(sum(drawn), _NONCE),
+                                   dtype=np.uint8).tobytes()
+        sealed = []
+        at = 0
+        for payload, draws in zip(payloads, drawn):
+            if not draws:
+                sealed.append(payload + b"\x00" * _NONCE)
+                continue
+            nonce = nonces[at:at + _NONCE]
+            at += _NONCE
+            if nonce == b"\x00" * _NONCE:
+                nonce = b"\x01" + nonce[1:]
+            sealed.append(self._xor_keystream(payload, nonce) + nonce)
+        return sealed
 
     def _open(self, slot_bytes: bytes) -> bytes:
         ct, nonce = slot_bytes[:_PAYLOAD], slot_bytes[_PAYLOAD:_PAYLOAD + _NONCE]
@@ -108,18 +127,28 @@ class PathOram:
                 self._meta[bucket - 1][s] = None
         self.m.step()
 
-    def _write_bucket(self, bucket: int, chosen: list[int]) -> None:
-        page, off = self._bucket_loc(bucket)
+    def _fill_bucket(self, bucket: int, chosen: list[int]) -> list[bytes]:
+        """Move ``chosen`` from the stash into ``bucket``'s slots; returns
+        the Z slot payloads, zero-padded, for :meth:`_write_out`."""
+        payloads = []
         for s in range(Z):
             if s < len(chosen):
                 bid = chosen[s]
-                payload = self.stash.pop(bid)
+                payloads.append(self.stash.pop(bid))
                 self._meta[bucket - 1][s] = bid
             else:
-                payload = b"\x00" * _PAYLOAD
+                payloads.append(b"\x00" * _PAYLOAD)
                 self._meta[bucket - 1][s] = None
-            self.m.write(page, off + s * _SLOT, self._seal(payload))
-        self.m.step()
+        return payloads
+
+    def _write_out(self, buckets: Iterable[int], payloads: list[bytes]) -> None:
+        """Seal the filled slots of ``buckets`` and write them in order."""
+        sealed = iter(self._seal_all(payloads))
+        for bucket in buckets:
+            page, off = self._bucket_loc(bucket)
+            for s in range(Z):
+                self.m.write(page, off + s * _SLOT, next(sealed))
+            self.m.step()
 
     # -- public API ----------------------------------------------------------
 
@@ -139,11 +168,14 @@ class PathOram:
                     break
             else:
                 self.stash[bid] = values[bid]
-        for bucket in range(1, self.n_buckets + 1):
+        buckets = range(1, self.n_buckets + 1)
+        payloads = []
+        for bucket in buckets:
             chosen = placed.get(bucket, [])
             for bid in chosen:
                 self.stash[bid] = values[bid]
-            self._write_bucket(bucket, chosen)
+            payloads += self._fill_bucket(bucket, chosen)
+        self._write_out(buckets, payloads)
         self.stash_peak = max(self.stash_peak, len(self.stash))
 
     def access(self, op: str, idx: int, new_value: bytes | None = None) -> bytes:
@@ -164,6 +196,7 @@ class PathOram:
             self.stash[idx] = new_value
         else:
             self.stash.setdefault(idx, result)
+        payloads = []
         for depth in range(len(path) - 1, -1, -1):
             bucket = path[depth]
             chosen = []
@@ -172,7 +205,8 @@ class PathOram:
                     break
                 if self._path(self.pos[bid])[depth] == bucket:
                     chosen.append(bid)
-            self._write_bucket(bucket, chosen)
+            payloads += self._fill_bucket(bucket, chosen)
+        self._write_out(path[::-1], payloads)
         self.stash_peak = max(self.stash_peak, len(self.stash))
         if len(self.stash) > self.stash_limit:
             raise RuntimeError(f"stash overflow: {len(self.stash)} blocks")

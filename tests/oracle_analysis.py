@@ -8,6 +8,10 @@ split, and ``fingerprint_advantage`` interleaves the membership split
 seeded ``(split_seed, 101, trial)`` with the identity split seeded
 ``(split_seed, 202, trial)``.  The library's reports must equal these,
 ``to_json()`` for ``to_json()``.
+
+``oracle_train_logreg`` is ``train_logreg`` as it was before it fitted
+only the columns that are nonzero on some standardized training row: it
+optimises every column.
 """
 
 import numpy as np
@@ -16,7 +20,10 @@ import scipy.sparse
 from leaklab.analysis import (
     AdvantageReport,
     FingerprintReport,
+    LogRegModel,
     SetResult,
+    _standardization,
+    _standardize,
     stratified_split,
     train_logreg,
 )
@@ -27,6 +34,90 @@ def _as_matrix(X):
     if scipy.sparse.issparse(X):
         return scipy.sparse.csr_matrix(X, dtype=np.float64)
     return np.asarray(X, dtype=np.float64)
+
+
+def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogRegModel:
+    import scipy.optimize
+
+    X = _as_matrix(X)
+    y = np.asarray(y)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (n, d) with one label per row")
+    if scipy.sparse.issparse(X):
+        if not np.all(np.isfinite(X.data)):
+            raise ValueError("features must be finite")
+    elif not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
+    classes = np.unique(y)
+    k = len(classes)
+    if k < 2:
+        raise ValueError("training data must contain at least two classes")
+    if l2_lambda < 0:
+        raise ValueError("l2_lambda must be non-negative")
+
+    mean, scale = _standardization(X)
+    Xs = _standardize(X, mean, scale)
+    n, d = Xs.shape
+
+    if k == 2:
+        yb = (y == classes[1]).astype(np.float64)
+
+        def objective(theta):
+            w, b = theta[:d], theta[d]
+            z = Xs @ w + b
+            # stable log(1 + e^z) - y z
+            loss = float(np.mean(np.logaddexp(0.0, z) - yb * z))
+            loss += 0.5 * l2_lambda * float(w @ w)
+            r = 1.0 / (1.0 + np.exp(-z)) - yb
+            gw = (Xs.T @ r) / n
+            gw = np.asarray(gw).ravel()
+            gw += l2_lambda * w
+            return loss, np.concatenate([gw, [r.mean()]])
+
+        theta0 = np.zeros(d + 1)
+    else:
+        yi = np.searchsorted(classes, y)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), yi] = 1.0
+
+        def objective(theta):
+            w = theta[: d * k].reshape(d, k)
+            b = theta[d * k:]
+            z = Xs @ w + b
+            zmax = z.max(axis=1, keepdims=True)
+            lse = zmax.ravel() + np.log(np.exp(z - zmax).sum(axis=1))
+            loss = float(np.mean(lse - z[np.arange(n), yi]))
+            loss += 0.5 * l2_lambda * float((w * w).sum())
+            p = np.exp(z - lse[:, None])
+            r = (p - onehot) / n
+            gw = Xs.T @ r
+            gw = np.asarray(gw)
+            gw += l2_lambda * w
+            return loss, np.concatenate([gw.ravel(), r.sum(axis=0)])
+
+        theta0 = np.zeros(d * k + k)
+
+    history: list[float] = []
+
+    def record(intermediate_result):
+        history.append(intermediate_result.fun)
+
+    res = scipy.optimize.minimize(
+        objective, theta0, jac=True, method="L-BFGS-B", callback=record,
+        options={"maxiter": iterations, "maxfun": 20 * iterations,
+                 "ftol": 1e-14, "gtol": 1e-9},
+    )
+    theta = res.x
+    grad_norm = float(np.linalg.norm(objective(theta)[1]))
+
+    if k == 2:
+        weights, bias = theta[:d], np.float64(theta[d])
+    else:
+        weights, bias = theta[: d * k].reshape(d, k), theta[d * k:]
+    return LogRegModel(
+        classes=classes, weights=weights, bias=bias, mean=mean, scale=scale,
+        l2_lambda=l2_lambda, loss_history=history, grad_norm=grad_norm,
+    )
 
 
 def oracle_advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,

@@ -29,7 +29,11 @@ from leaklab.features import (
 )
 from leaklab.games import GameConfig, run_distinguishing_game, run_fingerprinting_game
 
-from oracle_analysis import oracle_advantage_from_matrices, oracle_fingerprint_advantage
+from oracle_analysis import (
+    oracle_advantage_from_matrices,
+    oracle_fingerprint_advantage,
+    oracle_train_logreg,
+)
 
 
 def blobs(rng, n=200, d=6, gap=6.0):
@@ -323,6 +327,107 @@ def test_loss_history_equals_reevaluated_loss(rng, monkeypatch, kind):
                                                        l2_lambda=0.1)
     assert len(model.loss_history) > 3
     assert model.loss_history == reevaluated
+
+
+def _fit_data(rng, kind, n=150, d=9):
+    if kind == "multinomial":
+        y = rng.integers(0, 4, size=n)
+        X = rng.normal(size=(n, d))
+        X[np.arange(n), y] += 2.0
+        return X, y
+    return blobs(rng, n=n, d=d, gap=1.5)
+
+
+_DROPPED = [1, 4, 7]
+
+
+def _plant_zero_columns(X, sparse):
+    """``X`` with its ``_DROPPED`` columns exactly zero once standardized:
+    zero or a constant integer when dense, empty when sparse."""
+    X = X.copy()
+    X[:, _DROPPED] = 0.0
+    if sparse:
+        X[X < 0.5] = 0.0
+        return scipy.sparse.csr_matrix(X)
+    X[:, 4] = 3.0
+    return X
+
+
+@pytest.mark.parametrize("kind", ["binary", "multinomial", "sparse"])
+def test_logreg_without_zero_columns_is_the_full_fit(rng, kind):
+    X, y = _fit_data(rng, "multinomial" if kind == "multinomial" else "binary")
+    if kind == "sparse":
+        X[X < 0.5] = 0.0
+        X = scipy.sparse.csr_matrix(X)
+        assert X.getnnz(axis=0).min() > 0
+    got = train_logreg(X, y, l2_lambda=0.1)
+    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.bias, want.bias)
+    assert got.loss_history == want.loss_history
+    assert got.grad_norm == want.grad_norm
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind", ["binary", "multinomial"])
+def test_logreg_zero_columns_get_zero_weight(rng, kind, sparse):
+    # the fit skips the planted columns; the rest match the full fit to
+    # solver tolerance, and held-out rows that use the skipped columns
+    # are predicted alike
+    X, y = _fit_data(rng, kind)
+    X = _plant_zero_columns(X, sparse)
+    Xt = rng.normal(size=(60, X.shape[1]))
+    Xt[:, _DROPPED] += 5.0
+    if sparse:
+        Xt = scipy.sparse.csr_matrix(Xt)
+    got = train_logreg(X, y, l2_lambda=0.1)
+    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    assert got.weights.shape == want.weights.shape
+    assert np.all(got.weights[_DROPPED] == 0.0)
+    keep = np.setdiff1d(np.arange(X.shape[1]), _DROPPED)
+    assert np.max(np.abs(got.weights[keep] - want.weights[keep])) <= 1e-6
+    assert np.max(np.abs(got.bias - want.bias)) <= 1e-6
+    assert np.array_equal(got.predict(Xt), want.predict(Xt))
+    assert got.grad_norm <= 1e-4
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_logreg_all_zero_matrix_fits_bias_only(rng, k, sparse):
+    # a zero-filled feature set: only the class frequencies are left
+    y = np.array([0] * 24 + [1] * 10 + [2] * 6)[: 34 if k == 2 else 40]
+    X = np.zeros((len(y), 5))
+    if sparse:
+        X = scipy.sparse.csr_matrix(X)
+    got = train_logreg(X, y, l2_lambda=0.1)
+    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    assert got.weights.shape == want.weights.shape
+    assert not got.weights.any()
+    assert np.max(np.abs(got.bias - want.bias)) <= 1e-6
+    Xt = rng.normal(size=(20, 5))
+    assert np.array_equal(got.predict(Xt), want.predict(Xt))
+    assert got.grad_norm <= 1e-4
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind", ["binary", "multinomial"])
+def test_solver_sees_only_active_columns(rng, monkeypatch, kind, sparse):
+    import scipy.optimize
+
+    minimize = scipy.optimize.minimize
+    sizes = []
+
+    def spy(fun, x0, *args, **kwargs):
+        sizes.append(len(x0))
+        return minimize(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    X, y = _fit_data(rng, kind)
+    X = _plant_zero_columns(X, sparse)
+    train_logreg(X, y, l2_lambda=0.1)
+    active = X.shape[1] - len(_DROPPED)
+    terms = 1 if kind == "binary" else 4
+    assert sizes == [active * terms + terms]
 
 
 def test_cli_import_leaves_optimizer_unloaded():

@@ -283,6 +283,8 @@ def test_analyze_usage_errors(capsys, loop_dataset, tmp_path):
       "--claim-delta", "1"], "--claim-delta"),
     (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-eps", "1",
       "--claim-delta", "-0.5"], "--claim-delta"),
+    (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-delta", "0.5"],
+     "--claim-delta"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, loop_dataset, tmp_path, argv, flag):
     # each flag is rejected before any work, naming the flag

@@ -1,6 +1,7 @@
 """Workload behavior: hashmap, aggregation service, retrieval, covert."""
 
 import collections
+import copy
 import dataclasses
 import struct
 
@@ -347,6 +348,33 @@ def test_oram_many_accesses_stash_bounded(rng):
     assert oram.stash_peak < 64
 
 
+def _seal_one_at_a_time(oram, rng, payloads):
+    """The seal stream with one nonce draw per sealed slot."""
+    sealed = []
+    for payload in payloads:
+        if oram.flaw and payload == bytes(64):
+            sealed.append(payload + bytes(16))
+            continue
+        nonce = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
+        if nonce == bytes(16):
+            nonce = b"\x01" + nonce[1:]
+        sealed.append(oram._xor_keystream(payload, nonce) + nonce)
+    return sealed
+
+
+@pytest.mark.parametrize("flaw", [False, True], ids=["flaw-off", "flaw-on"])
+def test_oram_batched_nonces_match_single_draws(flaw):
+    # one draw per write-out gives the bytes, and leaves the generator in
+    # the state, of one draw per seal; access draws a leaf in between
+    oram = PathOram(SimMachine(alloc_seed=19), 8, seed=6, zero_block_flaw=flaw)
+    ref = copy.deepcopy(oram.rng)
+    payloads = [bytes(64) if i % 3 == 0 else bytes([i]) * 64 for i in range(40)]
+    for _ in range(3):
+        assert oram._seal_all(payloads) == _seal_one_at_a_time(oram, ref, payloads)
+        assert oram.rng.bit_generator.state == ref.bit_generator.state
+        assert oram.rng.integers(oram.leaves) == ref.integers(oram.leaves)
+
+
 def test_oram_validation():
     m = SimMachine(alloc_seed=18)
     oram = PathOram(m, 4, seed=5)
@@ -388,9 +416,8 @@ def test_oram_zero_flaw_stores_raw_zeros():
 
 def test_oram_seal_is_bytewise_keystream_xor(rng):
     oram = PathOram(SimMachine(), 4, seed=8)
-    for _ in range(200):
-        payload = bytes(rng.integers(0, 256, size=64, dtype=np.uint8))
-        sealed = oram._seal(payload)
+    payloads = [bytes(rng.integers(0, 256, size=64, dtype=np.uint8)) for _ in range(200)]
+    for payload, sealed in zip(payloads, oram._seal_all(payloads)):
         ct, nonce = sealed[:64], sealed[64:]
         assert ct == bytes(a ^ b for a, b in zip(payload, oram._keystream(nonce)))
         assert oram._open(sealed) == payload
