@@ -7,7 +7,7 @@ and eviction.
 """
 
 from leaklab.machine import CollectorPolicy, SimMachine, run_collect
-from leaklab.trace import DataAccess
+from leaklab.trace import DataAccess, windowed_events
 from leaklab.workloads import CovertSender, SecretMessage, covert_decode
 
 
@@ -21,7 +21,7 @@ def main() -> None:
     trace, sent = run_collect(machine, CovertSender(msg), policy, trace_seed=0)
     recovered = covert_decode(trace)
 
-    faults = sum(isinstance(e, DataAccess) for e in trace.windowed_events())
+    faults = sum(isinstance(e, DataAccess) for e in windowed_events(trace))
     print(f"sent {sent} bytes ({msg.repetitions} repetitions of {len(payload)})")
     print(f"observer saw {len(trace.events)} events, {faults / sent:.1f} faults/byte")
     print(f"recovered: {recovered[:len(payload)].decode()!r}")

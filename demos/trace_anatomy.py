@@ -8,7 +8,7 @@ exactly what an observer on the host side gets to record.
 import struct
 
 from leaklab.machine import CollectorPolicy, SimMachine, run_collect
-from leaklab.trace import parse_trace, write_trace
+from leaklab.trace import parse_trace, windowed_events, write_trace
 
 NOTES = {
     "CF": "code fetch: execution moved to a new code page",
@@ -52,7 +52,7 @@ def main() -> None:
 
     assert parse_trace(text) == trace
     print("round-trip parse: ok")
-    n_win = len(trace.windowed_events())
+    n_win = len(windowed_events(trace))
     print(f"{len(trace.events)} events total, {n_win} inside the marked window")
 
 

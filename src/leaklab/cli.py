@@ -312,7 +312,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_covert(args) -> int:
     from .games import derive_seed
     from .machine import CollectorPolicy, SimMachine, run_collect
-    from .trace import DataAccess, write_trace
+    from .trace import DataAccess, windowed_events, write_trace
     from .workloads import CovertDecodeError, CovertSender, SecretMessage, covert_decode
 
     if args.hex is not None:
@@ -352,7 +352,7 @@ def _cmd_covert(args) -> int:
         decode_error = str(e)
     errors = sum(1 for a, b in zip(decoded, expected) if a != b)
     errors += abs(len(decoded) - len(expected))
-    faults = sum(1 for ev in trace.windowed_events() if isinstance(ev, DataAccess))
+    faults = sum(1 for ev in windowed_events(trace) if isinstance(ev, DataAccess))
     results = {
         "bytes_sent": len(expected),
         "repetitions": args.reps,

@@ -11,9 +11,8 @@ Five feature families summarize one trace:
 * F5 - per-page code-fetch and data-access frequencies for the first
   M_CF/M_DA pages in order of first appearance.
 
-Counts are taken over the marker-windowed portion of the trace;
-:func:`trace_stats` gives the F1 and F2 counts by name.  Features whose
-channel was not collected are zero-filled and flagged in
+Counts are taken over the marker-windowed portion of the trace.
+Features whose channel was not collected are zero-filled and flagged in
 ``FeatureVector.warnings``.
 """
 
@@ -40,7 +39,6 @@ __all__ = [
     "FeatureVector",
     "FEATURE_SET_NAMES",
     "extract_features",
-    "trace_stats",
     "TokenSequence",
     "tokenize",
     "ngram_hash_matrix",
@@ -234,20 +232,6 @@ def extract_features(trace: Trace, sets, params: FeatureParams | None = None) ->
         names.extend(f"{name}.{n}" for n in nm)
     return FeatureVector(values=np.concatenate(values), names=names,
                          warnings=warnings)
-
-
-def trace_stats(trace: Trace) -> dict[str, int]:
-    """Event counts over the observed (marker-windowed) portion of a trace.
-
-    Returns totals and distinct counts for code fetches, data accesses,
-    cache lines (distinct means distinct (page, line) pairs) and
-    ciphertext diffs (distinct (page, block) pairs): the F1 and F2 values.
-    """
-    acc = _TracePass(trace)
-    values = np.concatenate([_f1(acc, None)[0], _f2(acc, None)[0]])
-    keys = ("total_cf", "unique_cf", "total_da", "unique_da",
-            "total_lines", "unique_lines", "total_ci", "unique_ci_blocks")
-    return {key: int(v) for key, v in zip(keys, values)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ the declared config separates the classes.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -79,11 +80,6 @@ class PriorDistribution:
         object.__setattr__(self, "probs", tuple(float(v) for v in p))
 
     @classmethod
-    def uniform(cls, support) -> "PriorDistribution":
-        support = tuple(support)
-        return cls(support, tuple(1.0 / len(support) for _ in support))
-
-    @classmethod
     def power_law(cls, support, exponent: float = 0.5) -> "PriorDistribution":
         """Rank-based decay: element at rank r gets weight (r+1)^-exponent."""
         support = tuple(support)
@@ -107,9 +103,6 @@ class PriorDistribution:
 
     def sample(self, rng: np.random.Generator):
         return self.support[int(rng.choice(len(self.support), p=np.asarray(self.probs)))]
-
-    def to_json(self) -> dict:
-        return {"support": list(self.support), "probs": list(self.probs)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +165,8 @@ def interesting_subset(urls, interest: dict | None = None) -> list[str]:
         return [u for u in urls if not u.endswith(_GENERIC_TLDS)]
     if kind == "list":
         wanted = list(interest["values"])
-        missing = [w for w in wanted if w not in set(urls)]
+        universe = set(urls)
+        missing = [w for w in wanted if w not in universe]
         if missing:
             raise ValueError(f"interest elements outside universe: {missing[:3]}")
         return wanted
@@ -324,16 +318,67 @@ class LabeledDataset:
 # game runners
 # ---------------------------------------------------------------------------
 
+def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
+    """The config's shared inputs, its runs and its game's metadata.
+
+    The runs are ``[(x, label, run_seed), ...]`` in dataset order.  The
+    distinguishing game runs the sybil inputs, then x0 or x1 by label
+    ``i % 2``.  The fingerprinting game runs the capacity-saturating
+    sybil stream, then a secret sampled from the prior, labelled
+    ``(1, identity)`` for an interest-set member and ``(0, -1)`` otherwise.
+    The metadata is what the game adds to ``dataset.json``.
+    """
+    sybil = cfg.sybil or {}
+    if cfg.game == "distinguish":
+        kind = sybil.get("kind")
+        if not sybil:
+            inputs = []
+        elif kind == "copies":
+            inputs = [sybil["value"]] * int(sybil["count"])
+        elif kind == "list":
+            inputs = list(sybil["values"])
+        else:
+            raise ValueError(f"unknown sybil strategy: {kind!r}")
+        runs = [(cfg.x1 if i % 2 else cfg.x0, i % 2, derive_seed(cfg.base_seed, "run", i))
+                for i in range(2 * cfg.traces_per_class)]
+        return inputs, runs, {"labels": "binary"}
+
+    prior_cfg = cfg.prior or {}
+    kind = prior_cfg.get("kind", "power_law")
+    if kind == "power_law":
+        universe = bundled_url_list()
+        prior = PriorDistribution.power_law(universe, prior_cfg.get("exponent", 0.5))
+    elif kind == "table":
+        prior = PriorDistribution.from_table(prior_cfg["table"])
+        universe = list(prior.support)
+    else:
+        raise ValueError(f"unknown prior kind: {kind!r}")
+    interesting = interesting_subset(universe, cfg.interest or None)
+    inputs = build_sybil_inputs(interesting, fill_stride=int(sybil.get("fill_stride", 2)))
+    index_of = {u: i for i, u in enumerate(interesting)}
+    runs = []
+    for i in range(cfg.n_traces):
+        run_seed = derive_seed(cfg.base_seed, "run", i)
+        x = prior.sample(np.random.default_rng([run_seed, 0xF1D0]))
+        runs.append((x, (1, index_of[x]) if x in index_of else (0, -1), run_seed))
+    p_member = prior.mass(interesting)
+    meta = {"labels": "membership_identity", "s_c": max(p_member, 1.0 - p_member),
+            "s_f": max(prior.prob_of(u) for u in interesting) / p_member,
+            "interest_size": len(interesting), "sybil_distinct": len(set(inputs))}
+    return inputs, runs, meta
+
+
 class _TraceJob:
     """One game round per call: the trace text when ``as_text``, else the Trace.
 
     Each round builds its run's machine, simulates the workload and
     observes it there, and places the observation on that machine.  A
     run whose observation depends on its inputs alone (see
-    ``observation_reusable``) is observed once per distinct secret: the
-    job keeps those observations and places them on every later run's
-    machine, so they live as long as one generation, or one pool
-    worker's copy of its job.
+    ``observation_reusable``) is observed once per distinct secret, and
+    its pages are placed per run.  The job keeps the observations of the
+    secrets in ``repeated`` (their ``repr``), the ones the plan runs more
+    than once, for the life of one generation or of one pool worker's
+    copy of the job; a secret that runs once is never kept.
 
     For phh (its ``aggregate`` window) every run also feeds the same
     shared inputs before its secret, and stage one draws no randomness.
@@ -346,12 +391,13 @@ class _TraceJob:
     page numbers and key irrelevant.
     """
 
-    def __init__(self, cfg: GameConfig, inputs: list, as_text: bool):
+    def __init__(self, cfg: GameConfig, inputs: list, as_text: bool, repeated: set[str]):
         self.cfg = cfg
         self.inputs = inputs
         self.as_text = as_text
         self.policy = CollectorPolicy.from_json(cfg.policy)
         self.reusable = observation_reusable(cfg.workload, self.policy)
+        self.repeated = repeated
         self.observations: dict[str, Observation] = {}
         self.checkpoint: tuple[Aggregation, Observer] | None = None
 
@@ -360,7 +406,8 @@ class _TraceJob:
             cipher_seed=derive_seed(run_seed, "cipher"),
             alloc_seed=derive_seed(run_seed, "alloc"),
         )
-        obs = self.observations.get(repr(x))
+        key = repr(x)
+        obs = self.observations.get(key)
         if obs is None:
             workload_seed = derive_seed(run_seed, "workload")
             workload = build_workload(self.cfg.workload, self.inputs + [x], workload_seed)
@@ -370,8 +417,8 @@ class _TraceJob:
                 workload(machine)
                 obs = observe(machine, machine.tap, self.policy,
                               derive_seed(run_seed, "noise"))
-            if self.reusable:
-                self.observations[repr(x)] = obs
+            if self.reusable and key in self.repeated:
+                self.observations[key] = obs
         trace = place(obs, machine, run_seed)
         return write_trace(trace) if self.as_text else trace
 
@@ -405,38 +452,8 @@ def _run_in_worker(x, run_seed: int):
     return _worker_job(x, run_seed)
 
 
-def _sybil_list(sybil: dict) -> list:
-    if not sybil:
-        return []
-    kind = sybil.get("kind")
-    if kind == "copies":
-        return [sybil["value"]] * int(sybil["count"])
-    if kind == "list":
-        return list(sybil["values"])
-    raise ValueError(f"unknown sybil strategy: {kind!r}")
-
-
-def _fingerprint_setup(cfg: GameConfig):
-    prior_cfg = dict(cfg.prior) if cfg.prior else {"kind": "power_law", "exponent": 0.5}
-    kind = prior_cfg.get("kind", "power_law")
-    if kind == "power_law":
-        universe = bundled_url_list()
-        prior = PriorDistribution.power_law(universe, prior_cfg.get("exponent", 0.5))
-    elif kind == "table":
-        prior = PriorDistribution.from_table(prior_cfg["table"])
-        universe = list(prior.support)
-    else:
-        raise ValueError(f"unknown prior kind: {kind!r}")
-    interesting = interesting_subset(universe, cfg.interest or None)
-    sybil_cfg = dict(cfg.sybil) if cfg.sybil else {}
-    sybils = build_sybil_inputs(
-        interesting, fill_stride=int(sybil_cfg.get("fill_stride", 2)))
-    return prior, interesting, sybils
-
-
-def _generate(cfg: GameConfig, inputs: list, plan: list[tuple], meta: dict,
-              out_dir, jobs: int, progress) -> LabeledDataset:
-    """Run ``plan`` = [(x, label, seed), ...] and store the traces in order.
+def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
+    """Run the config's plan and store the traces in order.
 
     Serial runs map one job; a pool gives each worker its own copy of it.
     On-disk runs store the job's trace text under ``out_dir``, in-memory
@@ -444,11 +461,13 @@ def _generate(cfg: GameConfig, inputs: list, plan: list[tuple], meta: dict,
     """
     if jobs > 1 and out_dir is None:
         raise ValueError("parallel generation requires an output directory")
+    inputs, runs, game_meta = _plan(cfg)
     root = Path(out_dir) if out_dir is not None else None
-    meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(plan),
-            "game": cfg.game, "base_seed": cfg.base_seed, **meta}
-    job = _TraceJob(cfg, inputs, root is not None)
-    xs, labels, seeds = zip(*plan)
+    meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(runs),
+            "game": cfg.game, "base_seed": cfg.base_seed, **game_meta}
+    uses = collections.Counter(repr(x) for x, _, _ in runs)
+    job = _TraceJob(cfg, inputs, root is not None, {k for k, n in uses.items() if n > 1})
+    xs, labels, seeds = zip(*runs)
     entries: list[DatasetEntry] = []
     with contextlib.ExitStack() as stack:
         if jobs > 1:
@@ -473,7 +492,7 @@ def _generate(cfg: GameConfig, inputs: list, plan: list[tuple], meta: dict,
                        "label": list(label) if isinstance(label, tuple) else label}
                 manifest.write(json.dumps(row, sort_keys=True) + "\n")
             if progress is not None:
-                progress(idx + 1, len(plan))
+                progress(idx + 1, len(runs))
     if root is not None:
         (root / "dataset.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return LabeledDataset(cfg.game, cfg.base_seed, entries, metadata=meta, root=root)
@@ -484,13 +503,7 @@ def run_distinguishing_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
     """Generate the two-secret dataset: label i%2 picks x0 or x1."""
     if cfg.game != "distinguish":
         raise ValueError("config is not a distinguishing game")
-    plan = []
-    for i in range(2 * cfg.traces_per_class):
-        label = i % 2
-        plan.append((cfg.x1 if label else cfg.x0, label,
-                     derive_seed(cfg.base_seed, "run", i)))
-    return _generate(cfg, _sybil_list(cfg.sybil), plan, {"labels": "binary"},
-                     out_dir, jobs, progress)
+    return _generate(cfg, out_dir, jobs, progress)
 
 
 def run_fingerprinting_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
@@ -498,20 +511,4 @@ def run_fingerprinting_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
     """Generate the sampled-secret dataset with (membership, identity) labels."""
     if cfg.game != "fingerprint":
         raise ValueError("config is not a fingerprinting game")
-    prior, interesting, sybils = _fingerprint_setup(cfg)
-    member_set = set(interesting)
-    index_of = {u: i for i, u in enumerate(interesting)}
-    p_member = prior.mass(member_set)
-    s_c = max(p_member, 1.0 - p_member)
-    s_f = max(prior.prob_of(u) for u in interesting) / p_member
-
-    plan = []
-    for i in range(cfg.n_traces):
-        run_seed = derive_seed(cfg.base_seed, "run", i)
-        rng = np.random.default_rng([run_seed, 0xF1D0])
-        x = prior.sample(rng)
-        label = (1, index_of[x]) if x in member_set else (0, -1)
-        plan.append((x, label, run_seed))
-    meta = {"labels": "membership_identity", "s_c": s_c, "s_f": s_f,
-            "interest_size": len(interesting), "sybil_distinct": len(set(sybils))}
-    return _generate(cfg, sybils, plan, meta, out_dir, jobs, progress)
+    return _generate(cfg, out_dir, jobs, progress)

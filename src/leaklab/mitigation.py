@@ -17,7 +17,6 @@ The clamp at zero is what costs the delta term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "dummy_shift",
     "sample_dummy_count",
     "verify_dummy_dp",
-    "noise_and_threshold",
     "noise_entry",
     "threshold_value",
 ]
@@ -160,19 +158,3 @@ def noise_entry(count: int, eps: float, threshold: float,
     noisy = float(count + round(float(rng.laplace(0.0, 1.0 / eps))))
     return noisy, noisy >= threshold
 
-
-def noise_and_threshold(counts: dict, eps: float, delta: float,
-                        rng: np.random.Generator) -> dict:
-    """Laplace-noise each count and keep entries at or above the threshold.
-
-    Entries are noised in ``counts`` order, one draw each (see
-    :func:`noise_entry`).  Returns ``{key: noisy_count}`` for the
-    survivors.
-    """
-    t = threshold_value(eps, delta)
-    out = {}
-    for key, count in counts.items():
-        noisy, keep = noise_entry(count, eps, t, rng)
-        if keep:
-            out[key] = noisy
-    return out

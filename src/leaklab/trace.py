@@ -199,13 +199,6 @@ class Trace:
                 f"{len(cf_pages)} distinct code pages"
             )
 
-    @property
-    def has_markers(self) -> bool:
-        return any(isinstance(ev, Marker) for ev in self.events)
-
-    def windowed_events(self) -> list["TraceEvent"]:
-        return windowed_events(self)
-
 
 # Trusted construction.  The parser checks every field before it builds an
 # event, and the collector only makes in-range fields, so both skip the
@@ -268,16 +261,15 @@ def windowed_events(trace: Trace) -> list[TraceEvent]:
     are excluded from the result; they delimit, they are not observations.
     Events before the first START are outside every window.
     """
-    if not trace.has_markers:
-        return list(trace.events)
     out = []
-    inside = False
+    marked = inside = False
     for ev in trace.events:
         if type(ev) is Marker:
+            marked = True
             inside = ev.kind == "START"
         elif inside:
             out.append(ev)
-    return out
+    return out if marked else list(trace.events)
 
 
 def write_trace(trace: Trace) -> str:

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from ..machine import SimMachine
-from ..trace import CiphertextDiff, DataAccess, Marker, Trace
+from ..trace import CiphertextDiff, DataAccess, Trace, windowed_events
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def covert_decode(trace: Trace) -> bytes:
     :class:`CovertDecodeError` at the first byte position violating the
     discipline.
     """
-    events = list(trace.windowed_events())
+    events = windowed_events(trace)
     enc = None
     for ev in events:
         if isinstance(ev, DataAccess):
@@ -84,8 +84,6 @@ def covert_decode(trace: Trace) -> bytes:
 
     windows: list[list[int]] = []
     for ev in events:
-        if isinstance(ev, Marker):
-            continue
         if isinstance(ev, DataAccess) and ev.gpn == enc:
             windows.append([])
         elif isinstance(ev, CiphertextDiff) and ev.gpn == enc and windows:

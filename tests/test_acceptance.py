@@ -30,7 +30,7 @@ from leaklab.features import FEATURE_SET_NAMES, FeatureParams, extract_features
 from leaklab.games import GameConfig, run_distinguishing_game, run_fingerprinting_game
 from leaklab.machine import CollectorPolicy, SimMachine, run_collect
 from leaklab.mitigation import sample_dummy_count, verify_dummy_dp
-from leaklab.trace import DataAccess, parse_trace, write_trace
+from leaklab.trace import DataAccess, parse_trace, windowed_events, write_trace
 from leaklab.workloads import CovertSender, LinearScanPir, SecretMessage, covert_decode, make_db_values
 
 JOBS = min(8, os.cpu_count() or 1)
@@ -302,7 +302,7 @@ def test_a9_covert_channel(capsys):
     decoded = covert_decode(trace)
     errors = sum(a != b for a, b in zip(decoded, msg.stream))
     errors += abs(len(decoded) - len(msg.stream))
-    faults = sum(isinstance(e, DataAccess) for e in trace.windowed_events())
+    faults = sum(isinstance(e, DataAccess) for e in windowed_events(trace))
     per_byte = faults / sent
     ok = errors == 0 and per_byte == 5.0
     _report(capsys, "A9", ok,

