@@ -107,7 +107,8 @@ def _write_svg(path: str | None, svg: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    from .games import GameConfig, run_distinguishing_game, run_fingerprinting_game
+    from .games import (GameConfig, _check_out_dir, _plan, run_distinguishing_game,
+                        run_fingerprinting_game)
 
     if args.jobs < 1:
         raise _config_error("--jobs must be >= 1")
@@ -117,15 +118,19 @@ def _cmd_simulate(args) -> int:
         cfg_obj["base_seed"] = int(seed)
     try:
         cfg = GameConfig.from_json(cfg_obj)
+        _, runs, _ = _plan(cfg)
     except (ValueError, TypeError, KeyError) as e:
         raise _config_error(f"bad game config: {e}") from e
+    try:
+        _check_out_dir(Path(args.out))
+    except ValueError as e:
+        raise _config_error(f"--out: {e}") from e
 
-    n = 2 * cfg.traces_per_class if cfg.game == "distinguish" else cfg.n_traces
     params = {"config": str(args.config), "out": str(args.out),
               "jobs": args.jobs, "dry_run": bool(args.dry_run)}
     if args.dry_run:
         _emit_report(args, command="simulate", params=params,
-                     results={"planned_traces": n, "game": cfg.game,
+                     results={"planned_traces": len(runs), "game": cfg.game,
                               "workload": cfg.workload.get("kind"),
                               "channels": sorted(cfg.policy.get("channels", []))},
                      config_hash=cfg.config_hash(), seed=cfg.base_seed)

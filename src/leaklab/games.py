@@ -20,7 +20,10 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -173,8 +176,7 @@ def interesting_subset(urls, interest: dict | None = None) -> list[str]:
     raise ValueError(f"unknown interest kind: {kind!r}")
 
 
-def build_sybil_inputs(interesting: list[str], fill_stride: int = 2,
-                       ladder: tuple = PRIME_LADDER) -> list[str]:
+def build_sybil_inputs(interesting: list[str], fill_stride: int = 2) -> list[str]:
     """Sybil key sequence for the fingerprinting game.
 
     One copy of every interesting element, interleaved with
@@ -183,7 +185,7 @@ def build_sybil_inputs(interesting: list[str], fill_stride: int = 2,
     table then sits exactly at capacity: one more distinct key (a
     non-member secret) forces a growth pass, a member secret does not.
     """
-    target = next(p for p in ladder if p >= len(interesting) * (1 + fill_stride))
+    target = next(p for p in PRIME_LADDER if p >= len(interesting) * (1 + fill_stride))
     n_fillers = target - len(interesting)
     seq: list[str] = []
     fi = 0
@@ -327,6 +329,9 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
     sybil stream, then a secret sampled from the prior, labelled
     ``(1, identity)`` for an interest-set member and ``(0, -1)`` otherwise.
     The metadata is what the game adds to ``dataset.json``.
+
+    Each distinct secret's workload is built (not run), so a config
+    whose workload rejects its inputs fails here, before any run.
     """
     sybil = cfg.sybil or {}
     if cfg.game == "distinguish":
@@ -341,30 +346,34 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
             raise ValueError(f"unknown sybil strategy: {kind!r}")
         runs = [(cfg.x1 if i % 2 else cfg.x0, i % 2, derive_seed(cfg.base_seed, "run", i))
                 for i in range(2 * cfg.traces_per_class)]
-        return inputs, runs, {"labels": "binary"}
-
-    prior_cfg = cfg.prior or {}
-    kind = prior_cfg.get("kind", "power_law")
-    if kind == "power_law":
-        universe = bundled_url_list()
-        prior = PriorDistribution.power_law(universe, prior_cfg.get("exponent", 0.5))
-    elif kind == "table":
-        prior = PriorDistribution.from_table(prior_cfg["table"])
-        universe = list(prior.support)
+        meta = {"labels": "binary"}
     else:
-        raise ValueError(f"unknown prior kind: {kind!r}")
-    interesting = interesting_subset(universe, cfg.interest or None)
-    inputs = build_sybil_inputs(interesting, fill_stride=int(sybil.get("fill_stride", 2)))
-    index_of = {u: i for i, u in enumerate(interesting)}
-    runs = []
-    for i in range(cfg.n_traces):
-        run_seed = derive_seed(cfg.base_seed, "run", i)
-        x = prior.sample(np.random.default_rng([run_seed, 0xF1D0]))
-        runs.append((x, (1, index_of[x]) if x in index_of else (0, -1), run_seed))
-    p_member = prior.mass(interesting)
-    meta = {"labels": "membership_identity", "s_c": max(p_member, 1.0 - p_member),
-            "s_f": max(prior.prob_of(u) for u in interesting) / p_member,
-            "interest_size": len(interesting), "sybil_distinct": len(set(inputs))}
+        prior_cfg = cfg.prior or {}
+        kind = prior_cfg.get("kind", "power_law")
+        if kind == "power_law":
+            universe = bundled_url_list()
+            prior = PriorDistribution.power_law(universe, prior_cfg.get("exponent", 0.5))
+        elif kind == "table":
+            prior = PriorDistribution.from_table(prior_cfg["table"])
+            universe = list(prior.support)
+        else:
+            raise ValueError(f"unknown prior kind: {kind!r}")
+        interesting = interesting_subset(universe, cfg.interest or None)
+        p_member = prior.mass(interesting)
+        if not p_member:
+            raise ValueError("the prior puts no mass on the interest set")
+        inputs = build_sybil_inputs(interesting, fill_stride=int(sybil.get("fill_stride", 2)))
+        index_of = {u: i for i, u in enumerate(interesting)}
+        runs = []
+        for i in range(cfg.n_traces):
+            run_seed = derive_seed(cfg.base_seed, "run", i)
+            x = prior.sample(np.random.default_rng([run_seed, 0xF1D0]))
+            runs.append((x, (1, index_of[x]) if x in index_of else (0, -1), run_seed))
+        meta = {"labels": "membership_identity", "s_c": max(p_member, 1.0 - p_member),
+                "s_f": max(prior.prob_of(u) for u in interesting) / p_member,
+                "interest_size": len(interesting), "sybil_distinct": len(set(inputs))}
+    for x in {repr(x): x for x, _, _ in runs}.values():
+        build_workload(cfg.workload, inputs + [x], 0)
     return inputs, runs, meta
 
 
@@ -452,17 +461,28 @@ def _run_in_worker(x, run_seed: int):
     return _worker_job(x, run_seed)
 
 
+def _check_out_dir(root: Path) -> None:
+    """Refuse an output path that exists and is not an empty directory."""
+    if root.exists() and (not root.is_dir() or any(root.iterdir())):
+        raise ValueError(f"output directory exists and is not empty: {root}")
+
+
 def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
     """Run the config's plan and store the traces in order.
 
     Serial runs map one job; a pool gives each worker its own copy of it.
     On-disk runs store the job's trace text under ``out_dir``, in-memory
-    runs keep its Trace.
+    runs keep its Trace.  ``out_dir`` must be new or empty.  The dataset
+    is written into a fresh sibling directory, which replaces ``out_dir``
+    once ``dataset.json`` is written and is removed if the run fails, so
+    ``out_dir`` ends up holding a whole dataset or is left as it was.
     """
     if jobs > 1 and out_dir is None:
         raise ValueError("parallel generation requires an output directory")
     inputs, runs, game_meta = _plan(cfg)
     root = Path(out_dir) if out_dir is not None else None
+    if root is not None:
+        _check_out_dir(root)
     meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(runs),
             "game": cfg.game, "base_seed": cfg.base_seed, **game_meta}
     uses = collections.Counter(repr(x) for x, _, _ in runs)
@@ -470,6 +490,13 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
     xs, labels, seeds = zip(*runs)
     entries: list[DatasetEntry] = []
     with contextlib.ExitStack() as stack:
+        if root is not None:
+            root.parent.mkdir(parents=True, exist_ok=True)
+            stage = Path(tempfile.mkdtemp(prefix=f".{root.name}.", dir=root.parent))
+            # runs last; a stage already renamed into place is gone
+            stack.callback(shutil.rmtree, stage, ignore_errors=True)
+            (stage / "traces").mkdir()
+            manifest = stack.enter_context(open(stage / "manifest.jsonl", "w"))
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -478,23 +505,25 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
             results = pool.map(_run_in_worker, xs, seeds, chunksize=4)
         else:
             results = map(job, xs, seeds)
-        if root is not None:
-            (root / "traces").mkdir(parents=True, exist_ok=True)
-            manifest = stack.enter_context(open(root / "manifest.jsonl", "w"))
         for idx, (label, seed, result) in enumerate(zip(labels, seeds, results)):
             if root is None:
                 entries.append(DatasetEntry(seed=seed, label=label, trace=result))
             else:
                 rel = f"traces/trace_{idx:05d}.txt"
-                (root / rel).write_text(result)
+                (stage / rel).write_text(result)
                 entries.append(DatasetEntry(seed=seed, label=label, path=root / rel))
                 row = {"path": rel, "game": cfg.game, "seed": seed,
                        "label": list(label) if isinstance(label, tuple) else label}
                 manifest.write(json.dumps(row, sort_keys=True) + "\n")
             if progress is not None:
                 progress(idx + 1, len(runs))
-    if root is not None:
-        (root / "dataset.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+        if root is not None:
+            manifest.close()
+            (stage / "dataset.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+            umask = os.umask(0)
+            os.umask(umask)
+            stage.chmod(0o777 & ~umask)  # mkdtemp makes it private; mkdir would not
+            os.replace(stage, root)
     return LabeledDataset(cfg.game, cfg.base_seed, entries, metadata=meta, root=root)
 
 

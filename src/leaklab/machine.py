@@ -44,15 +44,11 @@ from .trace import (
     BLOCK_BYTES,
     CodeFetch,
     CiphertextDiff,
+    CounterSnapshot,
     DataAccess,
     Marker,
     Trace,
     TraceEvent,
-    _ciphertext_diff,
-    _code_fetch,
-    _counter_snapshot,
-    _data_access,
-    _trace,
 )
 
 __all__ = [
@@ -79,6 +75,10 @@ WRITE = 2   # (WRITE, gpn, line, block, old_bytes, new_bytes)
 BRANCH = 3  # (BRANCH, taken, is_return)
 MARK = 4    # (MARK, "START"|"STOP")
 STEP = 5    # (STEP,)
+
+# The collector makes only in-range fields, so it builds trace records
+# without their checks.
+_tuple_new = tuple.__new__
 
 
 class MachineFault(RuntimeError):
@@ -378,8 +378,8 @@ class Observer:
                 noisy_lines.add(ln)
             lines = noisy_lines
         if win.slot is not None:
-            self._events[win.slot] = _data_access(
-                win.gpn, frozenset(lines) if "cache" in policy.channels else None)
+            self._events[win.slot] = _tuple_new(DataAccess, (
+                win.gpn, frozenset(lines) if "cache" in policy.channels else None))
         # diff every block written while mapped against its value at fault
         if self._keep and "cipher" in policy.channels:
             append = self._events.append
@@ -388,7 +388,7 @@ class Observer:
             for block in sorted(baseline):
                 base, cur = baseline[block], current[block]
                 if cur != base:
-                    append(_ciphertext_diff(gpn, block, base, cur))
+                    append(_tuple_new(CiphertextDiff, (gpn, block, base, cur)))
 
     def _evict_front(self) -> None:
         win = self._queue.popleft()
@@ -417,7 +417,7 @@ class Observer:
         def emit_counters():
             nonlocal c_ins, c_uop, c_br, c_tk, c_rt
             if pmc and keep:
-                append(_counter_snapshot((c_ins, c_uop, c_br, c_tk, c_rt)))
+                append(_tuple_new(CounterSnapshot, ((c_ins, c_uop, c_br, c_tk, c_rt),)))
             c_ins = c_uop = c_br = c_tk = c_rt = 0
 
         def fault(gpn: int):
@@ -458,7 +458,7 @@ class Observer:
                 if gpn != mapped_code:
                     mapped_code = gpn
                     if page and keep:
-                        append(_code_fetch(gpn))
+                        append(_tuple_new(CodeFetch, (gpn,)))
                         cf_pages.add(gpn)
                     emit_counters()
             elif kind == BRANCH:
@@ -548,14 +548,14 @@ def place(obs: Observation, machine: SimMachine, trace_seed: int) -> Trace:
         if cls is CiphertextDiff:
             gpn = moved.get(ev.gpn, ev.gpn)
             tweak = gpn.to_bytes(5, "little") + ev.block.to_bytes(2, "little")
-            ev = _ciphertext_diff(gpn, ev.block, encrypt(tweak, ev.before),
-                                  encrypt(tweak, ev.after))
+            ev = _tuple_new(cls, (gpn, ev.block, encrypt(tweak, ev.before),
+                                  encrypt(tweak, ev.after)))
         elif moved and (cls is DataAccess or cls is CodeFetch):
             gpn = moved.get(ev.gpn)
             if gpn is not None:
-                ev = _data_access(gpn, ev.lines) if cls is DataAccess else _code_fetch(gpn)
+                ev = _tuple_new(cls, (gpn, *ev[1:]))
         append(ev)
-    return _trace(trace_seed, obs.channels, tuple(events), obs.num_code_pages)
+    return _tuple_new(Trace, (trace_seed, obs.channels, tuple(events), obs.num_code_pages))
 
 
 def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,

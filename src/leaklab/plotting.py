@@ -92,13 +92,13 @@ def _axes(c: _Canvas, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
 
 
 def line_chart(series: dict[str, list[tuple[float, float]]], *, title: str = "",
-               x_label: str = "", y_label: str = "", y_floor: float | None = 0.0) -> str:
-    """Multi-series line chart; each series is a list of (x, y) points."""
+               x_label: str = "", y_label: str = "") -> str:
+    """Multi-series line chart of (x, y) point lists; the y axis includes 0."""
     pts = [p for s in series.values() for p in s]
     if not pts:
         raise ValueError("no data")
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-    y_lo = min(ys) if y_floor is None else min(y_floor, min(ys))
+    y_lo = min(0.0, min(ys))
     y_hi = max(ys) if max(ys) > y_lo else y_lo + 1.0
     c = _Canvas(title)
     sx, sy = _axes(c, min(xs), max(xs) if max(xs) > min(xs) else min(xs) + 1,

@@ -24,7 +24,7 @@ Format summary::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "CodeFetch",
@@ -75,88 +75,98 @@ def _check_gpn(gpn: int) -> None:
         raise TraceError(f"guest page number out of range: {gpn:#x}")
 
 
-@dataclass(frozen=True, slots=True)
-class CodeFetch:
+# Records are immutable tuples.  Each record's ``__new__`` checks and
+# converts its fields, and ``_make`` (so also ``_replace``) goes through
+# it.  The parser, which checks every field as it reads it, and the
+# collector, which only makes in-range fields, build records with
+# ``tuple.__new__(cls, fields)`` instead.
+_tuple_new = tuple.__new__
+
+
+class _Validated:
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class CodeFetch(_Validated, namedtuple("CodeFetch", "gpn")):
     """The guest executed from a code page it had not mapped."""
 
-    gpn: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_gpn(self.gpn)
+    def __new__(cls, gpn: int):
+        _check_gpn(gpn)
+        return _tuple_new(cls, (gpn,))
 
 
-@dataclass(frozen=True, slots=True)
-class DataAccess:
+class DataAccess(_Validated, namedtuple("DataAccess", "gpn lines")):
     """The guest touched a data page absent from the tracked page queue.
 
     ``lines`` is the set of cache lines observed on the page while it
     stayed mapped, or ``None`` when the cache channel was off.
     """
 
-    gpn: int
-    lines: frozenset[int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_gpn(self.gpn)
-        if self.lines is not None:
-            object.__setattr__(self, "lines", frozenset(self.lines))
-            for ln in self.lines:
+    def __new__(cls, gpn: int, lines: frozenset[int] | None = None):
+        _check_gpn(gpn)
+        if lines is not None:
+            lines = frozenset(lines)
+            for ln in lines:
                 if not 0 <= ln < LINES_PER_PAGE:
                     raise TraceError(f"cache line out of range: {ln}")
+        return _tuple_new(cls, (gpn, lines))
 
 
-@dataclass(frozen=True, slots=True)
-class CiphertextDiff:
+class CiphertextDiff(_Validated, namedtuple("CiphertextDiff", "gpn block before after")):
     """One 16-byte block of a page changed ciphertext while mapped."""
 
-    gpn: int
-    block: int
-    before: bytes
-    after: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_gpn(self.gpn)
-        if not 0 <= self.block < BLOCKS_PER_PAGE:
-            raise TraceError(f"block index out of range: {self.block}")
-        for name in ("before", "after"):
-            val = getattr(self, name)
+    def __new__(cls, gpn: int, block: int, before: bytes, after: bytes):
+        _check_gpn(gpn)
+        if not 0 <= block < BLOCKS_PER_PAGE:
+            raise TraceError(f"block index out of range: {block}")
+        for name, val in (("before", before), ("after", after)):
             if len(val) != BLOCK_BYTES:
                 raise TraceError(f"{name} must be {BLOCK_BYTES} bytes, got {len(val)}")
-        if self.before == self.after:
+        if before == after:
             raise TraceError("ciphertext diff with identical before/after")
+        return _tuple_new(cls, (gpn, block, before, after))
 
 
-@dataclass(frozen=True, slots=True)
-class CounterSnapshot:
+class CounterSnapshot(_Validated, namedtuple("CounterSnapshot", "values")):
     """Performance counters accumulated since the previous emitted event."""
 
-    values: tuple[int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(COUNTER_NAMES):
+    def __new__(cls, values: tuple[int, int, int, int, int]):
+        values = tuple(values)
+        if len(values) != len(COUNTER_NAMES):
             raise TraceError(f"expected {len(COUNTER_NAMES)} counters")
-        for v in self.values:
+        for v in values:
             if v < 0:
                 raise TraceError("counter values must be non-negative")
+        return _tuple_new(cls, (values,))
 
 
-@dataclass(frozen=True, slots=True)
-class Marker:
-    """Boundary of a targeted-collection window."""
+class Marker(_Validated, namedtuple("Marker", "kind")):
+    """Boundary of a targeted-collection window: ``kind`` is START or STOP."""
 
-    kind: str  # "START" or "STOP"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("START", "STOP"):
-            raise TraceError(f"marker kind must be START or STOP, got {self.kind!r}")
+    def __new__(cls, kind: str):
+        if kind not in ("START", "STOP"):
+            raise TraceError(f"marker kind must be START or STOP, got {kind!r}")
+        return _tuple_new(cls, (kind,))
 
 
 TraceEvent = CodeFetch | DataAccess | CiphertextDiff | CounterSnapshot | Marker
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class Trace(_Validated, namedtuple("Trace", "seed channels events num_code_pages")):
     """An ordered event list plus collection metadata.
 
     Invariants, enforced at construction:
@@ -167,22 +177,20 @@ class Trace:
     Pass ``num_code_pages=None`` to have it computed.
     """
 
-    seed: int
-    channels: frozenset[str]
-    events: tuple[TraceEvent, ...]
-    num_code_pages: int = None  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "channels", frozenset(self.channels))
-        object.__setattr__(self, "events", tuple(self.events))
-        if not 0 <= self.seed < (1 << 64):
-            raise TraceError(f"seed out of range: {self.seed}")
-        for ch in self.channels:
+    def __new__(cls, seed: int, channels: frozenset[str], events: tuple[TraceEvent, ...],
+                num_code_pages: int | None = None):
+        channels = frozenset(channels)
+        events = tuple(events)
+        if not 0 <= seed < (1 << 64):
+            raise TraceError(f"seed out of range: {seed}")
+        for ch in channels:
             if ch not in CHANNEL_ORDER:
                 raise TraceError(f"unknown channel: {ch!r}")
         depth = 0
         cf_pages = set()
-        for ev in self.events:
+        for ev in events:
             if isinstance(ev, Marker):
                 depth += 1 if ev.kind == "START" else -1
                 if depth not in (0, 1):
@@ -191,67 +199,14 @@ class Trace:
                 cf_pages.add(ev.gpn)
         if depth != 0:
             raise TraceError("unbalanced markers")
-        if self.num_code_pages is None:
-            object.__setattr__(self, "num_code_pages", len(cf_pages))
-        elif self.num_code_pages != len(cf_pages):
+        if num_code_pages is None:
+            num_code_pages = len(cf_pages)
+        elif num_code_pages != len(cf_pages):
             raise TraceError(
-                f"num_code_pages={self.num_code_pages} but trace has "
+                f"num_code_pages={num_code_pages} but trace has "
                 f"{len(cf_pages)} distinct code pages"
             )
-
-
-# Trusted construction.  The parser checks every field before it builds an
-# event, and the collector only makes in-range fields, so both skip the
-# ``__post_init__`` checks.  Filling the slots through their descriptors
-# also skips the frozen-dataclass ``__setattr__``, which costs more than
-# the checks.  Events a caller builds directly are still validated.
-
-_new = object.__new__
-_set_cf_gpn = CodeFetch.gpn.__set__
-_set_da_gpn = DataAccess.gpn.__set__
-_set_da_lines = DataAccess.lines.__set__
-_set_ci_gpn = CiphertextDiff.gpn.__set__
-_set_ci_block = CiphertextDiff.block.__set__
-_set_ci_before = CiphertextDiff.before.__set__
-_set_ci_after = CiphertextDiff.after.__set__
-_set_pn_values = CounterSnapshot.values.__set__
-
-
-def _code_fetch(gpn: int) -> CodeFetch:
-    ev = _new(CodeFetch)
-    _set_cf_gpn(ev, gpn)
-    return ev
-
-
-def _data_access(gpn: int, lines: frozenset[int] | None) -> DataAccess:
-    ev = _new(DataAccess)
-    _set_da_gpn(ev, gpn)
-    _set_da_lines(ev, lines)
-    return ev
-
-
-def _ciphertext_diff(gpn: int, block: int, before: bytes, after: bytes) -> CiphertextDiff:
-    ev = _new(CiphertextDiff)
-    _set_ci_gpn(ev, gpn)
-    _set_ci_block(ev, block)
-    _set_ci_before(ev, before)
-    _set_ci_after(ev, after)
-    return ev
-
-
-def _counter_snapshot(values: tuple[int, int, int, int, int]) -> CounterSnapshot:
-    ev = _new(CounterSnapshot)
-    _set_pn_values(ev, values)
-    return ev
-
-
-def _trace(seed: int, channels: frozenset[str], events: tuple[TraceEvent, ...],
-           num_code_pages: int) -> Trace:
-    tr = _new(Trace)
-    for name, value in (("seed", seed), ("channels", channels),
-                        ("events", events), ("num_code_pages", num_code_pages)):
-        object.__setattr__(tr, name, value)
-    return tr
+        return _tuple_new(cls, (seed, channels, events, num_code_pages))
 
 
 def windowed_events(trace: Trace) -> list[TraceEvent]:
@@ -417,7 +372,7 @@ def parse_trace(text: str) -> Trace:
                 raise TraceSyntaxError(lineno, "ciphertexts must be 16 bytes")
             if before == after:
                 raise TraceSyntaxError(lineno, "ciphertext diff with identical before/after")
-            append(_ciphertext_diff(gpn, block, before, after))
+            append(_tuple_new(CiphertextDiff, (gpn, block, before, after)))
         elif kind == "PN":
             if ntok != 1 + len(COUNTER_NAMES):
                 raise TraceSyntaxError(
@@ -433,21 +388,21 @@ def parse_trace(text: str) -> Trace:
                     _parse_uint(t, lineno, "counter", _COUNTER_LIMIT)
                     for t in toks[1:]
                 )
-            ev = seen[line] = _counter_snapshot(vals)
+            ev = seen[line] = _tuple_new(CounterSnapshot, (vals,))
             append(ev)
         elif kind == "CF":
             if ntok != 2:
                 raise TraceSyntaxError(lineno, "CF takes one page number")
             gpn = _parse_gpn(toks[1], lineno)
             cf_pages.add(gpn)
-            ev = seen[line] = _code_fetch(gpn)
+            ev = seen[line] = _tuple_new(CodeFetch, (gpn,))
             append(ev)
         elif kind == "MA":
             if ntok == 2:
-                ev = _data_access(_parse_gpn(toks[1], lineno), None)
+                ev = _tuple_new(DataAccess, (_parse_gpn(toks[1], lineno), None))
             elif ntok == 4 and toks[2] == "CL":
                 gpn = _parse_gpn(toks[1], lineno)
-                ev = _data_access(gpn, _parse_cache_lines(toks[3], lineno))
+                ev = _tuple_new(DataAccess, (gpn, _parse_cache_lines(toks[3], lineno)))
             else:
                 raise TraceSyntaxError(lineno, "MA takes a page and optional CL list")
             seen[line] = ev
@@ -482,7 +437,7 @@ def parse_trace(text: str) -> Trace:
         else:
             raise TraceSyntaxError(lineno, f"unknown event kind: {kind!r}")
 
-    # the invariants Trace.__post_init__ checks, in its order
+    # the invariants Trace checks, in its order
     if misnested:
         raise TraceError("invalid trace: markers must alternate START/STOP")
     if inside:
@@ -494,5 +449,5 @@ def parse_trace(text: str) -> Trace:
             f"invalid trace: num_code_pages={num} but trace has "
             f"{len(cf_pages)} distinct code pages"
         )
-    return _trace(seed, channels, tuple(events), num)
+    return _tuple_new(Trace, (seed, channels, tuple(events), num))
 

@@ -32,12 +32,10 @@ _HDR = 24
 class SimHashMap:
     """Separate-chaining string->count map over machine pages."""
 
-    def __init__(self, machine: SimMachine, hash_seed: int = 0,
-                 ladder: tuple = PRIME_LADDER):
+    def __init__(self, machine: SimMachine, hash_seed: int = 0):
         self.m = machine
-        self._ladder = tuple(ladder)
         self._seed_bytes = int(hash_seed).to_bytes(8, "little", signed=False)
-        self.bucket_count = self._ladder[0]
+        self.bucket_count = PRIME_LADDER[0]
         self.size = 0
         self.rehash_count = 0
         # Python-side mirrors; the authoritative bytes live in machine pages
@@ -169,7 +167,7 @@ class SimHashMap:
 
     def _rehash(self) -> None:
         self.m.exec_page(self.code_rehash)
-        new_count = next(p for p in self._ladder if p >= self.size)
+        new_count = next(p for p in PRIME_LADDER if p >= self.size)
         old_count, old_pages = self.bucket_count, self._bucket_pages
         self.bucket_count = new_count
         self._bucket_pages = self._alloc_buckets(new_count)

@@ -28,6 +28,7 @@ _PAYLOAD = 64
 _NONCE = 16
 _BUCKET_BYTES = Z * _SLOT
 _BUCKETS_PER_PAGE = 4096 // _BUCKET_BYTES
+_STASH_LIMIT = 1000  # an access that leaves more blocks in the stash fails
 
 
 class PathOram:
@@ -35,7 +36,7 @@ class PathOram:
 
     def __init__(self, machine: SimMachine, num_blocks: int, *,
                  zero_block_flaw: bool = False, seed: int = 0,
-                 height: int | None = None, stash_limit: int = 1000):
+                 height: int | None = None):
         if num_blocks < 1:
             raise ValueError("need at least one block")
         self.m = machine
@@ -48,7 +49,6 @@ class PathOram:
         self.leaves = 1 << height
         self.n_buckets = (1 << (height + 1)) - 1
         self.num_blocks = num_blocks
-        self.stash_limit = stash_limit
         self.stash: dict[int, bytes] = {}
         self.stash_peak = 0
         self.pos = {i: int(self.rng.integers(self.leaves)) for i in range(num_blocks)}
@@ -208,7 +208,7 @@ class PathOram:
             payloads += self._fill_bucket(bucket, chosen)
         self._write_out(path[::-1], payloads)
         self.stash_peak = max(self.stash_peak, len(self.stash))
-        if len(self.stash) > self.stash_limit:
+        if len(self.stash) > _STASH_LIMIT:
             raise RuntimeError(f"stash overflow: {len(self.stash)} blocks")
         return result
 

@@ -1,6 +1,8 @@
 """Shared fixtures and fuzz generators for the test suite."""
 
+import copy
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from leaklab.trace import (
     DataAccess,
     Marker,
     Trace,
+    TraceError,
 )
 
 
@@ -60,6 +63,44 @@ def random_trace(rng: np.random.Generator, max_events: int = 60,
         events.append(Marker("STOP"))
     return Trace(seed=int(rng.integers(0, 2**64, dtype=np.uint64)),
                  channels=channels, events=tuple(events))
+
+
+# One out-of-range field per record kind.
+OUT_OF_RANGE = {
+    CodeFetch: ("gpn", -1),
+    DataAccess: ("lines", frozenset({64})),
+    CiphertextDiff: ("block", 256),
+    CounterSnapshot: ("values", (0, 0, 0, 0, -1)),
+    Marker: ("kind", "MID"),
+    Trace: ("seed", 1 << 64),
+}
+
+
+def assert_sound_records(trace: Trace) -> None:
+    """The trace and each distinct event behave as immutable validated records.
+
+    Each survives pickle and ``copy.copy``, equals and hashes like its
+    rebuild through the validating constructor, rejects attribute
+    assignment, and fails ``_make`` and ``_replace`` with an out-of-range
+    field.  No two events of different kinds compare equal.
+    """
+    events = set(trace.events)
+    assert len(events) == len({(type(ev), ev) for ev in events})
+    for rec in [trace, *events]:
+        cls = type(rec)
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), cls(*rec)):
+            assert type(twin) is cls and twin == rec and hash(twin) == hash(rec)
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], getattr(rec, rec._fields[0]))
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        name, bad = OUT_OF_RANGE[cls]
+        with pytest.raises(TraceError):
+            rec._replace(**{name: bad})
+        fields = list(rec)
+        fields[rec._fields.index(name)] = bad
+        with pytest.raises(TraceError):
+            cls._make(fields)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
 from leaklab.schemas import validate_report
 
 LOOP_CONFIG = {
@@ -227,6 +227,87 @@ def test_config_that_fails_its_run_is_a_config_error(capsys, tmp_path, name):
                                  "--out", str(out), *extra)
         assert code == EXIT_CONFIG and rep is None and "schema" in err
         assert not out.exists()
+
+
+# Each config passes the schema but fails its plan: a secret or interest
+# set its game or workload cannot take.
+PLAN_FAILURES = {
+    "interest-outside-universe": {**FP_CONFIG, "interest": {"kind": "list",
+                                                            "values": ["zz.io"]}},
+    "table-without-member": {**FP_CONFIG, "prior": {"kind": "table",
+                                                    "table": {"a.com": 1, "b.org": 1}}},
+    "scan-secret-beyond-db": {**SCAN_CONFIG, "x1": 50},
+}
+
+
+@pytest.mark.parametrize("name", list(PLAN_FAILURES))
+def test_config_that_fails_its_plan_is_a_config_error(capsys, tmp_path, name):
+    from leaklab.games import GameConfig, run_distinguishing_game, run_fingerprinting_game
+
+    obj = PLAN_FAILURES[name]
+    cfg = GameConfig.from_json(obj)
+    run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        run(cfg, out_dir=out)
+    path = write_config(tmp_path, obj)
+    for extra in ([], ["--dry-run"]):
+        code, rep, err = run_cli(capsys, "simulate", "--config", path,
+                                 "--out", str(out), *extra)
+        assert code == EXIT_CONFIG and rep is None and "bad game config" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_run_that_fails_midway_leaves_no_out(capsys, tmp_path, monkeypatch):
+    from leaklab import games
+
+    calls = []
+    real = games._TraceJob.__call__
+
+    def fail_third(job, x, run_seed):
+        calls.append(x)
+        if len(calls) == 3:
+            raise RuntimeError("injected failure")
+        return real(job, x, run_seed)
+
+    monkeypatch.setattr(games._TraceJob, "__call__", fail_third)
+    cfg = write_config(tmp_path, LOOP_CONFIG)
+    code, rep, err = run_cli(capsys, "simulate", "--config", cfg,
+                             "--out", str(tmp_path / "ds"))
+    assert code == EXIT_RUNTIME and rep is None and "injected failure" in err
+    assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def test_simulate_refuses_a_used_out(capsys, tmp_path):
+    cfg = write_config(tmp_path, LOOP_CONFIG)
+    out = tmp_path / "ds"
+    (out / "traces").mkdir(parents=True)
+    (out / "traces" / "trace_00007.txt").write_text("SEED 1\n")
+    before = _tree(out)
+    for extra in ([], ["--dry-run"]):
+        code, rep, err = run_cli(capsys, "simulate", "--config", cfg,
+                                 "--out", str(out), *extra)
+        assert code == EXIT_CONFIG and rep is None and "not empty" in err
+        assert _tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ds"]
+
+
+def test_simulate_fills_an_empty_out(capsys, tmp_path):
+    cfg = write_config(tmp_path, LOOP_CONFIG)
+    out, fresh = tmp_path / "ds", tmp_path / "fresh"
+    out.mkdir()
+    fresh.mkdir()
+    code, rep, _ = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert code == EXIT_OK and rep["results"]["n_traces"] == 4
+    assert len(list((out / "traces").iterdir())) == 4
+    assert out.stat().st_mode == fresh.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ds", "fresh"]
 
 
 @pytest.fixture(scope="module")

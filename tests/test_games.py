@@ -256,6 +256,16 @@ def test_parallel_generation_matches_serial(tmp_path, cfg_obj):
         run(cfg, jobs=2)  # parallel needs a directory
 
 
+def test_generation_refuses_a_used_out_dir(tmp_path):
+    cfg = GameConfig.from_json(dict(LOOP_CFG))
+    run_distinguishing_game(cfg, out_dir=tmp_path / "d")
+    before = _dir_bytes(tmp_path / "d")
+    with pytest.raises(ValueError, match="not empty"):
+        run_distinguishing_game(cfg, out_dir=tmp_path / "d")
+    assert _dir_bytes(tmp_path / "d") == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+
 def test_dataset_load_rejects_truncated_manifest(tmp_path):
     cfg = GameConfig.from_json(dict(LOOP_CFG))
     run_distinguishing_game(cfg, out_dir=tmp_path / "d")

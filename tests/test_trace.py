@@ -19,7 +19,7 @@ from leaklab.trace import (
     windowed_events,
     write_trace,
 )
-from conftest import random_trace
+from conftest import assert_sound_records, random_trace
 from oracle_features import _window as oracle_window
 from oracle_parse import oracle_parse
 
@@ -83,6 +83,8 @@ def test_round_trip_identity_fuzz(data):
     tr2 = parse_trace(text)
     assert tr2 == tr
     assert write_trace(tr2) == text
+    assert_sound_records(tr)
+    assert_sound_records(tr2)
 
 
 def test_stats_against_rescan(rng):
