@@ -318,13 +318,22 @@ class AdvantageReport:
 
 def _walk(dataset, *featurize) -> tuple[list, ...]:
     """Each ``featurize(trace)`` over every trace in dataset order, then
-    the labels: each trace is loaded and parsed once, whatever the number
-    of featurizers.  No trace outlives the walk."""
+    the labels: each trace is loaded and parsed at most once, whatever
+    the number of featurizers.  No trace outlives the walk.
+
+    Only the first trace of each observation group is loaded and
+    featurized (see ``LabeledDataset.iter_grouped``); the other members
+    get its values.  That is exact: the runs of one group place the same
+    observation, which renames pages one-to-one and keeps every event,
+    and the featurizers read a page only through equality and order of
+    first appearance, and a ciphertext diff only through its page and
+    block.
+    """
     columns = [[] for _ in featurize]
     labels = []
-    for trace, label in dataset.iter_labeled():
+    for group, trace, label in dataset.iter_grouped():
         for column, f in zip(columns, featurize):
-            column.append(f(trace))
+            column.append(f(trace) if trace is not None else column[group])
         labels.append(label)
     return (*columns, labels)
 
@@ -421,9 +430,8 @@ def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
                        iterations: int = 1000) -> AdvantageReport:
     """Measure distinguishing advantage of each feature set on a dataset.
 
-    ``dataset`` is any object yielding ``(trace, label)`` pairs from
-    ``iter_labeled()`` and exposing ``base_seed``; labels must form a
-    two-class problem.
+    ``dataset`` is a :class:`~leaklab.games.LabeledDataset`; labels must
+    form a two-class problem.
     """
     return advantage_reports(
         dataset, feature_sets, params=params, trials=trials, test_frac=test_frac,

@@ -141,6 +141,10 @@ def _cmd_simulate(args) -> int:
     ds = runner(cfg, out_dir=args.out, jobs=args.jobs)
     results = {"n_traces": len(ds), "out_dir": str(args.out),
                "game": cfg.game}
+    groups = {e.obs for e in ds.entries if e.obs is not None}
+    if groups:
+        # a reusable config: the distinct observations its runs placed
+        results["observations"] = len(groups)
     for key in ("s_c", "s_f"):
         if key in ds.metadata:
             results[key] = ds.metadata[key]

@@ -256,15 +256,52 @@ class GameConfig:
 
 @dataclass
 class DatasetEntry:
+    """One run: its seed and label, and its trace in memory or on disk.
+
+    ``obs`` is the dataset index of the first run with the same
+    observation, so entries with equal ``obs`` give equal features (see
+    ``_generate``); None when unknown.  ``sha256`` is the hex digest of
+    the trace file's bytes, and every read of the file checks it.
+    """
+
     seed: int
     label: object
     trace: Trace | None = None
     path: Path | None = None
+    obs: int | None = None
+    sha256: str | None = None
+
+    def read_text(self) -> str:
+        """The trace file's text, checked against ``sha256`` when set."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            raise ValueError(f"{self.path}: trace file is missing") from None
+        if self.sha256 is not None and hashlib.sha256(data).hexdigest() != self.sha256:
+            raise ValueError(f"{self.path}: trace file does not match its sha256")
+        return data.decode()
 
     def load(self) -> Trace:
         if self.trace is not None:
             return self.trace
-        return parse_trace(self.path.read_text())
+        return parse_trace(self.read_text())
+
+
+def _check_groups(entries: list[DatasetEntry]) -> None:
+    """Each ``obs`` names an earlier or the same entry, which heads its
+    own group and has the same label."""
+    for i, e in enumerate(entries):
+        if e.obs is None or e.obs == i:
+            continue
+        if e.obs > i:
+            raise ValueError(f"row {i}: obs {e.obs} points forward")
+        if e.obs < 0:
+            raise ValueError(f"row {i}: obs {e.obs} is negative")
+        head = entries[e.obs]
+        if head.obs != e.obs:
+            raise ValueError(f"row {i}: obs {e.obs} names a row outside its own group")
+        if head.label != e.label:
+            raise ValueError(f"row {i}: obs {e.obs} names a row with another label")
 
 
 class LabeledDataset:
@@ -272,6 +309,7 @@ class LabeledDataset:
 
     def __init__(self, game: str, base_seed: int, entries: list[DatasetEntry],
                  metadata: dict | None = None, root: Path | None = None):
+        _check_groups(entries)
         self.game = game
         self.base_seed = base_seed
         self.entries = entries
@@ -284,6 +322,23 @@ class LabeledDataset:
     def iter_labeled(self):
         for e in self.entries:
             yield e.load(), e.label
+
+    def iter_grouped(self):
+        """``(group, trace, label)`` per entry, in dataset order.
+
+        ``group`` is the entry's ``obs``, or its own index without one.
+        Only the first entry of a group is loaded; the others give None
+        for their trace, after their file, if any, is read and checked
+        against its ``sha256``.
+        """
+        for i, e in enumerate(self.entries):
+            group = i if e.obs is None else e.obs
+            if group == i:
+                yield i, e.load(), e.label
+                continue
+            if e.trace is None:
+                e.read_text()
+            yield group, None, e.label
 
     @property
     def s_c(self) -> float | None:
@@ -301,19 +356,30 @@ class LabeledDataset:
             raise ValueError(f"{root}: dataset.json config does not match its config_hash")
         entries = []
         with open(root / "manifest.jsonl") as fh:
-            for line in fh:
+            for i, line in enumerate(fh):
                 row = json.loads(line)
                 validate_manifest_row(row)
+                rel = row["path"]
+                if rel.startswith("/") or any(p in ("", "..") for p in rel.split("/")):
+                    raise ValueError(f"{root}: manifest row {i}: path {rel!r} "
+                                     "leaves the dataset directory")
+                if ("obs" in row) != ("sha256" in row):
+                    raise ValueError(f"{root}: manifest row {i}: obs and sha256 "
+                                     "come together or not at all")
                 label = row["label"]
                 if isinstance(label, list):
                     label = tuple(label)
                 entries.append(DatasetEntry(
-                    seed=row["seed"], label=label, path=root / row["path"]))
+                    seed=row["seed"], label=label, path=root / rel,
+                    obs=row.get("obs"), sha256=row.get("sha256")))
         if len(entries) != meta["n"]:
             raise ValueError(f"{root}: manifest has {len(entries)} rows, "
                              f"dataset.json says n={meta['n']}")
-        return cls(meta["game"], meta["base_seed"], entries,
-                   metadata=meta, root=root)
+        try:
+            return cls(meta["game"], meta["base_seed"], entries,
+                       metadata=meta, root=root)
+        except ValueError as e:
+            raise ValueError(f"{root}: manifest {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +538,14 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
 
     Serial runs map one job; a pool gives each worker its own copy of it.
     On-disk runs store the job's trace text under ``out_dir``, in-memory
-    runs keep its Trace.  ``out_dir`` must be new or empty.  The dataset
-    is written into a fresh sibling directory, which replaces ``out_dir``
-    once ``dataset.json`` is written and is removed if the run fails, so
+    runs keep its Trace.  When the config's observations are reusable,
+    each entry's ``obs`` is the index of the first run of its secret,
+    and each manifest row also carries ``obs`` and the ``sha256`` of its
+    trace file; other configs write neither.
+
+    ``out_dir`` must be new or empty.  The dataset is written into a
+    fresh sibling directory, which replaces ``out_dir`` once
+    ``dataset.json`` is written and is removed if the run fails, so
     ``out_dir`` ends up holding a whole dataset or is left as it was.
     """
     if jobs > 1 and out_dir is None:
@@ -488,6 +559,13 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
     uses = collections.Counter(repr(x) for x, _, _ in runs)
     job = _TraceJob(cfg, inputs, root is not None, {k for k, n in uses.items() if n > 1})
     xs, labels, seeds = zip(*runs)
+    if job.reusable:
+        # the runs of one secret place one observation: their group is
+        # the first of them in plan order
+        first: dict[str, int] = {}
+        groups = [first.setdefault(repr(x), idx) for idx, x in enumerate(xs)]
+    else:
+        groups = [None] * len(runs)
     entries: list[DatasetEntry] = []
     with contextlib.ExitStack() as stack:
         if root is not None:
@@ -505,15 +583,19 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
             results = pool.map(_run_in_worker, xs, seeds, chunksize=4)
         else:
             results = map(job, xs, seeds)
-        for idx, (label, seed, result) in enumerate(zip(labels, seeds, results)):
+        for idx, (label, seed, obs, result) in enumerate(zip(labels, seeds, groups, results)):
             if root is None:
-                entries.append(DatasetEntry(seed=seed, label=label, trace=result))
+                entries.append(DatasetEntry(seed=seed, label=label, trace=result, obs=obs))
             else:
                 rel = f"traces/trace_{idx:05d}.txt"
-                (stage / rel).write_text(result)
-                entries.append(DatasetEntry(seed=seed, label=label, path=root / rel))
+                data = result.encode()
+                (stage / rel).write_bytes(data)
                 row = {"path": rel, "game": cfg.game, "seed": seed,
                        "label": list(label) if isinstance(label, tuple) else label}
+                if obs is not None:
+                    row.update(obs=obs, sha256=hashlib.sha256(data).hexdigest())
+                entries.append(DatasetEntry(seed=seed, label=label, path=root / rel,
+                                            obs=obs, sha256=row.get("sha256")))
                 manifest.write(json.dumps(row, sort_keys=True) + "\n")
             if progress is not None:
                 progress(idx + 1, len(runs))

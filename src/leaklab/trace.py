@@ -24,6 +24,7 @@ Format summary::
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 
 __all__ = [
@@ -322,7 +323,21 @@ def parse_trace(text: str) -> Trace:
 
     Each line is checked once, here, and its event built without
     re-validation; the trace invariants are checked in the same pass.
+
+    Records are acyclic tuples, so the cyclic garbage collector is off
+    while the many events are built, and the caller's setting is
+    restored on return.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_lines(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_lines(text: str) -> Trace:
     seed = 0
     num: int | None = None
     channels: frozenset[str] = frozenset()

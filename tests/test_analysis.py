@@ -437,3 +437,87 @@ def test_cli_import_leaves_optimizer_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- one featurization per observation group -----------------------------------
+# Configs whose observations are reusable: their datasets name, per run,
+# the first run with the same secret, and the walk featurizes one trace
+# per group.
+
+_REUSABLE = {
+    "fingerprint": {
+        "game": "fingerprint",
+        "workload": {"kind": "phh", "eps": 2.0, "delta": 1e-6, "marked_stage": "aggregate"},
+        "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True},
+        "n_traces": 30, "base_seed": 31,
+        "prior": {"kind": "table",
+                  "table": {"a.io": 4, "b.io": 3, "c.com": 3, "d.com": 2}},
+        "interest": {"kind": "list", "values": ["a.io", "b.io", "c.com"]},
+    },
+    "distinguish": {
+        "game": "distinguish",
+        "workload": {"kind": "pir_scan", "db_size": 256},
+        "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True},
+        "x0": 17, "x1": 200, "sybil": {"kind": "copies", "value": 3, "count": 2},
+        "traces_per_class": 10, "base_seed": 5,
+    },
+}
+
+
+def _reusable_dataset(name, where, tmp_path):
+    from leaklab.games import LabeledDataset
+
+    cfg = GameConfig.from_json(_REUSABLE[name])
+    run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
+    if where == "memory":
+        ds = run(cfg)
+    else:
+        run(cfg, out_dir=tmp_path / "d", jobs=int(where[-1]))
+        ds = LabeledDataset.load(tmp_path / "d")
+    assert len({e.obs for e in ds.entries}) < len(ds)
+    return ds
+
+
+@pytest.mark.parametrize("where", ["memory", "jobs1", "jobs2"])
+def test_reused_fingerprint_matches_oracle(tmp_path, where):
+    ds = _reusable_dataset("fingerprint", where, tmp_path)
+    params = FeatureParams(m_cf=16, m_da=32)
+    want = oracle_fingerprint_advantage(ds, params=params, **_FIT)
+    assert fingerprint_advantage(ds, params=params, **_FIT).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("where", ["memory", "jobs1", "jobs2"])
+def test_reused_distinguish_matches_oracle(tmp_path, where):
+    from leaklab.analysis import advantage_reports
+
+    ds = _reusable_dataset("distinguish", where, tmp_path)
+    traces, labels = zip(*ds.iter_labeled())
+    X_by_set = {name: np.vstack([extract_features(t, [name]).values for t in traces])
+                for name in FEATURE_SET_NAMES}
+    seq = ngram_hash_matrix([tokenize(t).tokens for t in traces])
+    got = advantage_reports(ds, FEATURE_SET_NAMES, seq=True, **_FIT)
+    assert got["advantage"].to_json() == oracle_advantage_from_matrices(
+        X_by_set, labels, split_seed=5, **_FIT).to_json()
+    assert got["seq"].to_json() == oracle_advantage_from_matrices(
+        {"seq": seq}, labels, split_seed=5, **_FIT).to_json()
+
+
+@pytest.mark.parametrize("name", list(_REUSABLE))
+def test_walk_parses_and_featurizes_once_per_group(tmp_path, monkeypatch, name):
+    import leaklab.analysis as analysis
+    import leaklab.games as games
+
+    ds = _reusable_dataset(name, "jobs1", tmp_path)
+    parses, reads, featurized = [], [], []
+    parse, read = games.parse_trace, games.DatasetEntry.read_text
+    monkeypatch.setattr(games, "parse_trace", lambda text: parses.append(1) or parse(text))
+    monkeypatch.setattr(games.DatasetEntry, "read_text",
+                        lambda self: reads.append(self.path) or read(self))
+    rows, labels = analysis._walk(ds, lambda trace: featurized.append(trace) or len(featurized))
+    groups = sorted({e.obs for e in ds.entries})
+    assert len(parses) == len(featurized) == len(groups)
+    # every file is still read (and checked against its sha256)
+    assert reads == [e.path for e in ds.entries]
+    # each run gets its group's row
+    assert rows == [groups.index(e.obs) + 1 for e in ds.entries]
+    assert labels == [e.label for e in ds.entries]

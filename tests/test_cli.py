@@ -543,3 +543,17 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"
     assert (tmp_path / "ds" / "dataset.json").is_file()
+
+
+def test_simulate_counts_observations_of_a_reusable_config(capsys, tmp_path):
+    scan = {"game": "distinguish", "workload": {"kind": "pir_scan", "db_size": 64},
+            "policy": {"channels": ["page", "cipher"], "targeted": True},
+            "x0": 3, "x1": 40, "traces_per_class": 3, "base_seed": 11}
+    for name, obj, want in [("scan", scan, 2), ("loop", LOOP_CONFIG, None)]:
+        out = tmp_path / name
+        code, rep, _ = run_cli(capsys, "simulate", "--config",
+                               write_config(tmp_path, obj, f"{name}.json"), "--out", str(out))
+        assert code == EXIT_OK
+        assert rep["results"].get("observations") == want
+        code, rep, _ = run_cli(capsys, "analyze", "--dataset", str(out), "--sets", "F1")
+        assert code == EXIT_OK and set(rep["results"]) == {"n_traces", "advantage"}

@@ -229,3 +229,72 @@ def test_ngram_matrix_distinguishes_order():
     b = ngram_hash_matrix([[3, 2, 1]], max_ngram=2, dim=2 ** 15).toarray()
     assert a.sum() == b.sum() == 5
     assert not np.array_equal(a, b)  # bigrams differ even if unigrams match
+
+
+# -- placement invariance ------------------------------------------------------
+# The runs of one observation group share one observation placed on
+# different machines, and analysis featurizes only the first of them.
+# That is exact only if features and tokens cannot tell placements apart.
+
+_INVARIANCE_PARAMS = [FeatureParams(), FeatureParams(n_bins=3, m_cf=2, m_da=3),
+                      FeatureParams(n_bins=1, m_cf=1, m_da=1)]
+
+
+def _placement_pairs(rng, n=120):
+    """One fuzzed observation placed on two machines with other seeds."""
+    from leaklab.machine import observe, place
+
+    from test_machine import _fuzzed_run
+
+    pairs = []
+    for _ in range(n):
+        workload, m, policy, noise_seed, seed = _fuzzed_run(rng)
+        m.reset_tap()
+        workload(m)
+        obs = observe(m, m.tap, policy, noise_seed)
+        a, b = (place(obs, SimMachine(cipher_seed=c, alloc_seed=s), seed)
+                for c, s in rng.integers(0, 1 << 32, size=(2, 2)).tolist())
+        pairs.append((a, b))
+    return pairs
+
+
+def _placement_variant(pairs, featurize) -> int:
+    """How many pairs ``featurize`` tells apart."""
+    return sum(not np.array_equal(featurize(a), featurize(b)) for a, b in pairs)
+
+
+def test_features_and_tokens_are_placement_invariant(rng):
+    pairs = _placement_pairs(rng)
+    # the placements differ: page numbers and ciphertext bytes move
+    assert sum(a != b for a, b in pairs) > len(pairs) // 2
+    assert any(type(ev) is CiphertextDiff for a, _ in pairs for ev in a.events)
+    for a, b in pairs:
+        for params in _INVARIANCE_PARAMS:
+            for sets in [[name] for name in FEATURE_SET_NAMES] + [list(FEATURE_SET_NAMES)]:
+                fa, fb = (extract_features(t, sets, params) for t in (a, b))
+                assert np.array_equal(fa.values, fb.values)
+                assert fa.names == fb.names and fa.warnings == fb.warnings
+        assert tokenize(a).tokens == tokenize(b).tokens
+
+
+def test_placement_invariance_check_catches_mutants(rng, monkeypatch):
+    import leaklab.features as features
+
+    pairs = _placement_pairs(rng)
+
+    def f5_by_page_value(acc, params):
+        # keyed on the page number's value, not its first appearance
+        cf = np.zeros(params.m_cf)
+        counts = [n for _, n in sorted(acc.cf_count.items())][:params.m_cf]
+        cf[:len(counts)] = counts
+        return cf, [f"cf_page_{i:03d}" for i in range(params.m_cf)]
+
+    monkeypatch.setitem(features._SET_BUILDERS, "F5", f5_by_page_value)
+    assert _placement_variant(pairs, lambda t: extract_features(t, ["F5"]).values)
+    monkeypatch.undo()
+
+    def ci_byte(trace):
+        return [sum(ev.after[0] for ev in trace.events if type(ev) is CiphertextDiff)]
+
+    assert _placement_variant(pairs, ci_byte)
+    assert not _placement_variant(pairs, lambda t: extract_features(t, ["F5"]).values)

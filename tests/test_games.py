@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from leaklab.games import (
+    DatasetEntry,
     GameConfig,
     LabeledDataset,
     PriorDistribution,
@@ -466,3 +467,128 @@ def test_job_keeps_only_repeated_secrets(recorded_jobs, workload_calls, cfg_obj)
     assert sum(workload_calls.values()) == observed
     if cfg.game == "fingerprint":
         assert 0 < len(job.observations) < len(uses)
+
+
+# -- observation groups in the manifest ----------------------------------------
+
+FP_AGG_CFG = {**FP_CFG, "workload": {**FP_CFG["workload"], "marked_stage": "aggregate"},
+              "n_traces": 12}
+
+
+def _manifest(root):
+    return [json.loads(line) for line in (root / "manifest.jsonl").read_text().splitlines()]
+
+
+def _write_manifest(root, rows):
+    (root / "manifest.jsonl").write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+
+
+def _first_of_each_secret(cfg):
+    import leaklab.games as games
+
+    first = {}
+    return [first.setdefault(repr(x), i) for i, (x, _, _) in enumerate(games._plan(cfg)[1])]
+
+
+@pytest.mark.parametrize("cfg_obj", [
+    FP_AGG_CFG,
+    {"game": "distinguish", "policy": FULL_POLICY, "traces_per_class": 3,
+     **KIND_CFGS["pir_scan"]},
+], ids=["fingerprint", "distinguish"])
+def test_reusable_manifest_names_groups_and_digests(tmp_path, cfg_obj):
+    cfg = GameConfig.from_json(cfg_obj)
+    run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
+    groups = _first_of_each_secret(cfg)
+    assert len(set(groups)) < len(groups)
+    assert [e.obs for e in run(cfg).entries] == groups
+    ds = run(cfg, out_dir=tmp_path / "d")
+    rows = _manifest(tmp_path / "d")
+    assert [r["obs"] for r in rows] == [e.obs for e in ds.entries] == groups
+    for r in rows:
+        data = (tmp_path / "d" / r["path"]).read_bytes()
+        assert r["sha256"] == hashlib.sha256(data).hexdigest()
+    back = LabeledDataset.load(tmp_path / "d")
+    assert [(e.obs, e.sha256) for e in back.entries] == [(r["obs"], r["sha256"]) for r in rows]
+
+
+def test_other_configs_write_no_groups(tmp_path):
+    ds = run_distinguishing_game(GameConfig.from_json(dict(LOOP_CFG)), out_dir=tmp_path / "d")
+    assert all(set(r) == {"path", "label", "game", "seed"} for r in _manifest(tmp_path / "d"))
+    assert all(e.obs is None and e.sha256 is None for e in ds.entries)
+
+
+@pytest.fixture
+def reused_dataset(tmp_path):
+    """A dataset with an observation group of several runs, and a member."""
+    run_fingerprinting_game(GameConfig.from_json(FP_AGG_CFG), out_dir=tmp_path / "d")
+    rows = _manifest(tmp_path / "d")
+    member = next(i for i, r in enumerate(rows) if r["obs"] != i)
+    return tmp_path / "d", rows, member
+
+
+def _walk_all(root):
+    from leaklab.analysis import _walk
+
+    return _walk(LabeledDataset.load(root), lambda trace: 0)
+
+
+def test_walk_checks_every_member_file(reused_dataset):
+    root, rows, member = reused_dataset
+    path = root / rows[member]["path"]
+    head = root / rows[rows[member]["obs"]]["path"]
+    _walk_all(root)
+    # valid trace text, with the same features, but not the file written
+    path.write_bytes(head.read_bytes())
+    with pytest.raises(ValueError, match="sha256"):
+        _walk_all(root)
+    path.unlink()
+    with pytest.raises(ValueError, match="missing"):
+        _walk_all(root)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda rows, i: rows[i].update(obs=i + 1), "points forward"),
+    (lambda rows, i: rows[i].pop("sha256"), "come together"),
+    (lambda rows, i: rows[i].pop("obs"), "come together"),
+    (lambda rows, i: rows[rows[i]["obs"]].update(
+        label=[0, -1] if rows[i]["label"] != [0, -1] else [1, 0]), "another label"),
+], ids=["forward", "no-sha256", "no-obs", "other-label"])
+def test_dataset_load_rejects_bad_groups(reused_dataset, edit, match):
+    root, rows, member = reused_dataset
+    edit(rows, member)
+    _write_manifest(root, rows)
+    with pytest.raises(ValueError, match=match):
+        LabeledDataset.load(root)
+
+
+def test_dataset_rejects_an_obs_outside_its_group():
+    def dataset(*obs, labels=(0, 0, 0)):
+        return LabeledDataset("distinguish", 0, [
+            DatasetEntry(seed=i, label=y, obs=o) for i, (o, y) in enumerate(zip(obs, labels))])
+
+    assert len(dataset(0, 0, 2)) == len(dataset(0, 1, 1)) == len(dataset(None, None, None)) == 3
+    with pytest.raises(ValueError, match="row 2: obs 1 names a row outside its own group"):
+        dataset(0, 0, 1)
+    with pytest.raises(ValueError, match="row 1: obs 2 points forward"):
+        dataset(0, 2, 2)
+    with pytest.raises(ValueError, match="row 1: obs -1 is negative"):
+        dataset(0, -1, 2)
+    with pytest.raises(ValueError, match="row 2: obs 0 names a row with another label"):
+        dataset(0, 1, 0, labels=(0, 1, 1))
+
+
+def test_dataset_load_keeps_paths_inside(tmp_path):
+    cfg = GameConfig.from_json(dict(LOOP_CFG))
+    for name in ("d", "other"):
+        run_distinguishing_game(cfg, out_dir=tmp_path / name)
+    rows = _manifest(tmp_path / "d")
+    for i, path in [(0, str(tmp_path / "other" / rows[0]["path"])),
+                    (1, "../other/traces/trace_00001.txt"),
+                    (2, "traces//trace_00002.txt"),
+                    (3, "traces/../traces/trace_00003.txt")]:
+        bad = [dict(r) for r in rows]
+        bad[i]["path"] = path
+        _write_manifest(tmp_path / "d", bad)
+        with pytest.raises(ValueError, match=f"row {i}: path"):
+            LabeledDataset.load(tmp_path / "d")

@@ -243,3 +243,27 @@ def test_parse_matches_oracle_on_mutated_texts(rng):
         failures += not isinstance(expected, Trace)
     # the mutations must reach the error paths, not only valid texts
     assert failures > 500
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_runs_without_cyclic_collection(rng, monkeypatch, enabled):
+    import gc
+
+    import leaklab.trace as trace_mod
+
+    seen = []
+    parse = trace_mod._parse_lines
+    monkeypatch.setattr(trace_mod, "_parse_lines",
+                        lambda text: seen.append(gc.isenabled()) or parse(text))
+    tr = random_trace(rng)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert parse_trace(write_trace(tr)) == tr
+        assert gc.isenabled() is enabled
+        with pytest.raises(TraceSyntaxError):
+            parse_trace("BOGUS 1\n")
+        # the caller's setting comes back, also after a failed parse
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]
