@@ -16,10 +16,13 @@ Fingerprinting games have prior-dependent baselines; see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .pool import ordered_map
 
 __all__ = [
     "LogRegModel",
@@ -316,26 +319,66 @@ class AdvantageReport:
         }
 
 
-def _walk(dataset, *featurize) -> tuple[list, ...]:
-    """Each ``featurize(trace)`` over every trace in dataset order, then
-    the labels: each trace is loaded and parsed at most once, whatever
-    the number of featurizers.  No trace outlives the walk.
+@dataclass(frozen=True)
+class _Featurize:
+    """The walk's job: ``(names, values, tokens)`` of one trace.
+
+    ``names`` and ``values`` are the F1–F5 column names and values of
+    ``sets`` (both None without ``sets``), ``tokens`` the token stream
+    (None unless ``seq``).  A module-level job, so that it pickles.
+    """
+
+    sets: tuple | None
+    params: object
+    seq: bool = False
+
+    def __call__(self, trace) -> tuple:
+        from .features import extract_features, tokenize
+
+        names = values = tokens = None
+        if self.sets is not None:
+            fv = extract_features(trace, self.sets, self.params)
+            names, values = fv.names, fv.values
+        if self.seq:
+            tokens = tokenize(trace).tokens
+        return names, values, tokens
+
+
+def _featurize_entry(featurize, entry):
+    return featurize(entry.load())
+
+
+def _walk(dataset, featurize, jobs: int = 1) -> tuple[list, list]:
+    """``featurize(trace)`` over every trace in dataset order, then the
+    labels.  No trace outlives the walk, or leaves the process it was
+    parsed in.
 
     Only the first trace of each observation group is loaded and
-    featurized (see ``LabeledDataset.iter_grouped``); the other members
-    get its values.  That is exact: the runs of one group place the same
-    observation, which renames pages one-to-one and keeps every event,
-    and the featurizers read a page only through equality and order of
-    first appearance, and a ciphertext diff only through its page and
-    block.
+    featurized (see ``LabeledDataset.heads``); the other members get its
+    value, after their file is read and checked.  That is exact: the
+    runs of one group place the same observation, which renames pages
+    one-to-one and keeps every event, and the featurizers read a page
+    only through equality and order of first appearance, and a
+    ciphertext diff only through its page and block.
+
+    With ``jobs`` above 1 and the traces on disk, a pool of at most one
+    worker per group head loads and featurizes the heads, and this
+    process loads the solver meanwhile; the values are still taken in
+    dataset order, so they do not depend on ``jobs``.  ``featurize``
+    must then pickle.
     """
-    columns = [[] for _ in featurize]
-    labels = []
-    for group, trace, label in dataset.iter_grouped():
-        for column, f in zip(columns, featurize):
-            column.append(f(trace) if trace is not None else column[group])
-        labels.append(label)
-    return (*columns, labels)
+    heads = dataset.heads()
+    if any(e.trace is not None for e in heads):
+        jobs = 1
+    jobs = min(jobs, len(heads))
+    with ordered_map(functools.partial(_featurize_entry, featurize), jobs, heads) as values:
+        if jobs > 1:
+            # every walk is followed by fits: load the solver while the
+            # workers parse
+            import scipy.optimize  # noqa: F401
+            import scipy.sparse  # noqa: F401
+        rows = dataset.spread(values)
+    return rows, [e.label for e in dataset.entries]
 
 
 def _trial_accuracies(X, y, seed: tuple, trials: int, test_frac: float,
@@ -383,63 +426,56 @@ def advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
 
 def advantage_reports(dataset, feature_sets=None, *, seq: bool = False,
                       params=None, trials: int = 5, test_frac: float = 0.2,
-                      l2_lambda: float = 1.0,
-                      iterations: int = 1000) -> dict[str, AdvantageReport]:
+                      l2_lambda: float = 1.0, iterations: int = 1000,
+                      jobs: int = 1) -> dict[str, AdvantageReport]:
     """The reports of :func:`evaluate_advantage` (under ``"advantage"``,
     unless ``feature_sets`` is None) and :func:`evaluate_seq_advantage`
     (under ``"seq"``, when ``seq`` is set) from one walk over the dataset,
     so each trace is loaded and parsed once.
+
+    ``jobs`` worker processes load and featurize the traces of an
+    on-disk dataset; the fits run here, and the reports do not depend
+    on ``jobs``.
     """
-    from .features import FeatureParams, extract_features, ngram_hash_matrix, tokenize
+    from .features import FeatureParams, ngram_hash_matrix
 
-    params = params or FeatureParams()
-    fv = None
-
-    def featurize(trace):
-        nonlocal fv
-        fv = extract_features(trace, feature_sets, params)
-        return fv.values
-
-    walk = {}
     if feature_sets is not None:
-        feature_sets = list(feature_sets)
-        walk["advantage"] = featurize
-    if seq:
-        walk["seq"] = lambda trace: tokenize(trace).tokens
-    *columns, labels = _walk(dataset, *walk.values())
-    columns = dict(zip(walk, columns))
+        feature_sets = tuple(feature_sets)
+    job = _Featurize(feature_sets, params or FeatureParams(), seq)
+    rows, labels = _walk(dataset, job, jobs)
 
     fit = dict(trials=trials, test_frac=test_frac, l2_lambda=l2_lambda,
                iterations=iterations, split_seed=getattr(dataset, "base_seed", 0))
     reports = {}
-    if "advantage" in columns:
+    if feature_sets is not None:
         # split the columns per set; names carry the set as a "F<k>." prefix
-        X = np.vstack(columns["advantage"])
-        prefixes = [n.split(".", 1)[0] for n in fv.names]
+        X = np.vstack([values for _, values, _ in rows])
+        prefixes = [n.split(".", 1)[0] for n in rows[0][0]]
         X_by_set = {name: X[:, [p == name for p in prefixes]]
                     for name in feature_sets}
         reports["advantage"] = advantage_from_matrices(X_by_set, labels, **fit)
-    if "seq" in columns:
+    if seq:
         reports["seq"] = advantage_from_matrices(
-            {"seq": ngram_hash_matrix(columns["seq"])}, labels, **fit)
+            {"seq": ngram_hash_matrix([tokens for _, _, tokens in rows])}, labels, **fit)
     return reports
 
 
 def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
                        test_frac: float = 0.2, l2_lambda: float = 1.0,
-                       iterations: int = 1000) -> AdvantageReport:
+                       iterations: int = 1000, jobs: int = 1) -> AdvantageReport:
     """Measure distinguishing advantage of each feature set on a dataset.
 
     ``dataset`` is a :class:`~leaklab.games.LabeledDataset`; labels must
-    form a two-class problem.
+    form a two-class problem.  ``jobs`` is as in :func:`advantage_reports`.
     """
     return advantage_reports(
         dataset, feature_sets, params=params, trials=trials, test_frac=test_frac,
-        l2_lambda=l2_lambda, iterations=iterations)["advantage"]
+        l2_lambda=l2_lambda, iterations=iterations, jobs=jobs)["advantage"]
 
 
 def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
-                           l2_lambda: float = 1.0, iterations: int = 1000) -> AdvantageReport:
+                           l2_lambda: float = 1.0, iterations: int = 1000,
+                           jobs: int = 1) -> AdvantageReport:
     """Sequence-model advantage: hashed n-gram features over token streams.
 
     Stands in for a recurrent sequence classifier: the trace is tokenized,
@@ -450,7 +486,7 @@ def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
     """
     return advantage_reports(
         dataset, seq=True, trials=trials, test_frac=test_frac,
-        l2_lambda=l2_lambda, iterations=iterations)["seq"]
+        l2_lambda=l2_lambda, iterations=iterations, jobs=jobs)["seq"]
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +511,20 @@ class FingerprintReport:
 
 def fingerprint_advantage(dataset, *, params=None, trials: int = 5,
                           test_frac: float = 0.2, l2_lambda: float = 1.0,
-                          iterations: int = 1000) -> FingerprintReport:
+                          iterations: int = 1000, jobs: int = 1) -> FingerprintReport:
     """Membership and identity advantage for a fingerprinting dataset.
 
     Baselines come from the sampling prior: ``s_c`` is the best blind
     interest/no-interest guess, ``s_f`` the best blind identity guess
     among interesting elements.  The membership classifier trains on all
     traces; the identity classifier only on traces whose element is in
-    the interest set.
+    the interest set.  ``jobs`` is as in :func:`advantage_reports`.
     """
-    from .features import FEATURE_SET_NAMES, FeatureParams, extract_features
+    from .features import FEATURE_SET_NAMES, FeatureParams
 
-    params = params or FeatureParams()
-    rows, labels = _walk(
-        dataset, lambda trace: extract_features(trace, FEATURE_SET_NAMES, params).values)
-    X = np.vstack(rows)
+    job = _Featurize(tuple(FEATURE_SET_NAMES), params or FeatureParams())
+    rows, labels = _walk(dataset, job, jobs)
+    X = np.vstack([values for _, values, _ in rows])
     members = np.array([int(member) for member, _ in labels])
     identities = np.array([int(ident) for _, ident in labels])
     member_idx = np.flatnonzero(members == 1)

@@ -97,6 +97,13 @@ def _emit_report(args, *, command: str, params: dict, results: dict,
     print(text)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # an OS without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _write_svg(path: str | None, svg: str) -> None:
     if path:
         Path(path).write_text(svg)
@@ -162,7 +169,7 @@ def _cmd_analyze(args) -> int:
     from .features import FeatureParams
     from .games import LabeledDataset
 
-    for name in ("trials", "iterations", "n_bins", "m_cf", "m_da"):
+    for name in ("trials", "iterations", "n_bins", "m_cf", "m_da", "jobs"):
         if getattr(args, name) < 1:
             raise _config_error(f"--{name.replace('_', '-')} must be >= 1")
     if not 0.0 < args.test_frac < 1.0:
@@ -188,14 +195,14 @@ def _cmd_analyze(args) -> int:
     if args.fingerprint:
         if ds.metadata.get("labels") != "membership_identity":
             raise _config_error("--fingerprint needs a fingerprinting dataset")
-        rep = fingerprint_advantage(ds, params=params, **kw)
+        rep = fingerprint_advantage(ds, params=params, jobs=args.jobs, **kw)
         results["fingerprint"] = rep.to_json()
     else:
         names = _parse_sets(args.sets)
         if not names and not args.seq:
             raise _config_error("nothing to analyze: give --sets and/or --seq")
         reports = advantage_reports(ds, names or None, seq=args.seq,
-                                    params=params, **kw)
+                                    params=params, jobs=args.jobs, **kw)
         results.update((key, rep.to_json()) for key, rep in reports.items())
 
     if args.svg:
@@ -414,6 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--n-bins", type=int, default=10)
     ana.add_argument("--m-cf", type=int, default=64)
     ana.add_argument("--m-da", type=int, default=64)
+    ana.add_argument("--jobs", type=int, default=_usable_cpus(),
+                     help="worker processes that load and featurize traces "
+                          "(default: the CPUs this process may use)")
     ana.add_argument("--report", default=None)
     ana.add_argument("--svg", default=None)
     ana.set_defaults(func=_cmd_analyze)

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .machine import CollectorPolicy, Observation, Observer, SimMachine, observe, place
+from .pool import ordered_map
 from .schemas import validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
 from .workloads import PRIME_LADDER, HeavyHitters, build_workload, observation_reusable
@@ -323,22 +324,29 @@ class LabeledDataset:
         for e in self.entries:
             yield e.load(), e.label
 
-    def iter_grouped(self):
-        """``(group, trace, label)`` per entry, in dataset order.
+    def heads(self) -> list[DatasetEntry]:
+        """The first entry of each observation group, in dataset order.
 
-        ``group`` is the entry's ``obs``, or its own index without one.
-        Only the first entry of a group is loaded; the others give None
-        for their trace, after their file, if any, is read and checked
-        against its ``sha256``.
+        An entry's group is its ``obs``, or its own index without one.
         """
+        return [e for i, e in enumerate(self.entries) if e.obs in (None, i)]
+
+    def spread(self, head_values) -> list:
+        """One value per entry, in dataset order, from one per group head.
+
+        A group's first entry takes the next of ``head_values`` (which
+        follow :meth:`heads`); the others take their group's value, after
+        their file, if any, is read and checked against its ``sha256``.
+        """
+        values = []
         for i, e in enumerate(self.entries):
-            group = i if e.obs is None else e.obs
-            if group == i:
-                yield i, e.load(), e.label
+            if e.obs in (None, i):
+                values.append(next(head_values))
                 continue
             if e.trace is None:
                 e.read_text()
-            yield group, None, e.label
+            values.append(values[e.obs])
+        return values
 
     @property
     def s_c(self) -> float | None:
@@ -514,19 +522,6 @@ class _TraceJob:
         return observer.finish(agg.m)
 
 
-# A pool worker's job, set once by the pool initializer.
-_worker_job: _TraceJob | None = None
-
-
-def _init_worker(job: _TraceJob) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_in_worker(x, run_seed: int):
-    return _worker_job(x, run_seed)
-
-
 def _check_out_dir(root: Path) -> None:
     """Refuse an output path that exists and is not an empty directory."""
     if root.exists() and (not root.is_dir() or any(root.iterdir())):
@@ -536,7 +531,8 @@ def _check_out_dir(root: Path) -> None:
 def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
     """Run the config's plan and store the traces in order.
 
-    Serial runs map one job; a pool gives each worker its own copy of it.
+    The runs map one job through :func:`~leaklab.pool.ordered_map`:
+    serial runs call it here, a pool gives each worker its own copy.
     On-disk runs store the job's trace text under ``out_dir``, in-memory
     runs keep its Trace.  When the config's observations are reusable,
     each entry's ``obs`` is the index of the first run of its secret,
@@ -575,14 +571,7 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
             stack.callback(shutil.rmtree, stage, ignore_errors=True)
             (stage / "traces").mkdir()
             manifest = stack.enter_context(open(stage / "manifest.jsonl", "w"))
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker, initargs=(job,)))
-            results = pool.map(_run_in_worker, xs, seeds, chunksize=4)
-        else:
-            results = map(job, xs, seeds)
+        results = stack.enter_context(ordered_map(job, jobs, xs, seeds, chunksize=4))
         for idx, (label, seed, obs, result) in enumerate(zip(labels, seeds, groups, results)):
             if root is None:
                 entries.append(DatasetEntry(seed=seed, label=label, trace=result, obs=obs))

@@ -69,6 +69,12 @@ class TraceSyntaxError(TraceError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so that it pickles back from a
+        # pool worker
+        return type(self), (self.lineno, self.message)
 
 
 def _check_gpn(gpn: int) -> None:

@@ -92,7 +92,7 @@ def test_a2_padding_dp_and_synthetic_channel(capsys):
         })
         ds = run_distinguishing_game(cfg)
         rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
-                                 l2_lambda=0.1, iterations=1000)
+                                 l2_lambda=0.1, iterations=1000, jobs=JOBS)
         _, mean, stderr = _raw_norm(rep.sets["F1"])
         sigma = max(stderr, _norm_floor(400, 0.5))
         limit = 2 * dp_bound(eps, delta) + 3 * sigma
@@ -135,7 +135,7 @@ def test_a4_unmitigated_service_distinguishable(capsys, tmp_path):
     cfg = _phh_config(0.1, 1e-9, False, "noise_threshold", 9400, 200)
     ds = run_distinguishing_game(cfg, out_dir=tmp_path / "a4", jobs=JOBS)
     rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
-                             l2_lambda=0.1, iterations=1000)
+                             l2_lambda=0.1, iterations=1000, jobs=JOBS)
     adv = rep.sets["F1"].normalized_mean
     ok = adv >= 0.98
     _report(capsys, "A4", ok,
@@ -150,7 +150,7 @@ def test_a5_mitigated_below_bound_and_aggregation_bypass(capsys, tmp_path):
         cfg = _phh_config(eps, delta, True, "noise_threshold", 9500 + j, 250)
         ds = run_distinguishing_game(cfg, out_dir=tmp_path / f"a5-{j}", jobs=JOBS)
         rep = evaluate_advantage(ds, list(FEATURE_SET_NAMES), trials=5,
-                                 test_frac=0.2, l2_lambda=0.1, iterations=1000)
+                                 test_frac=0.2, l2_lambda=0.1, iterations=1000, jobs=JOBS)
         bound = 2 * dp_bound(eps, delta)
         floor = _norm_floor(100, 0.5)
         worst_name, worst_gap = None, -1.0
@@ -170,7 +170,7 @@ def test_a5_mitigated_below_bound_and_aggregation_bypass(capsys, tmp_path):
     cfg = _phh_config(eps, delta, True, "aggregate", 9550, 250)
     ds = run_distinguishing_game(cfg, out_dir=tmp_path / "a5-agg", jobs=JOBS)
     rep = evaluate_advantage(ds, ["F5"], trials=5, test_frac=0.2,
-                             l2_lambda=0.1, iterations=1000)
+                             l2_lambda=0.1, iterations=1000, jobs=JOBS)
     _, mean, stderr = _raw_norm(rep.sets["F5"])
     sigma = max(stderr, _norm_floor(100, 0.5))
     bound = 2 * dp_bound(eps, delta)
@@ -209,13 +209,13 @@ def test_a6_linear_scan_page_blind_cipher_sees(capsys, tmp_path):
     ds_page = run_distinguishing_game(_scan_config(["page"], 9600),
                                       out_dir=tmp_path / "a6p", jobs=JOBS)
     rep = evaluate_advantage(ds_page, list(FEATURE_SET_NAMES), trials=5,
-                             test_frac=0.2, l2_lambda=0.1, iterations=1000)
+                             test_frac=0.2, l2_lambda=0.1, iterations=1000, jobs=JOBS)
     page_adv = max(rep.sets[n].normalized_mean for n in FEATURE_SET_NAMES)
 
     ds_ct = run_distinguishing_game(_scan_config(FULL_CHANNELS, 9600),
                                     out_dir=tmp_path / "a6c", jobs=JOBS)
     seq = evaluate_seq_advantage(ds_ct, trials=5, test_frac=0.2,
-                                 l2_lambda=0.1, iterations=1000)
+                                 l2_lambda=0.1, iterations=1000, jobs=JOBS)
     ct_adv = seq.sets["seq"].normalized_mean
 
     ok = identical and page_adv <= 0.05 and ct_adv >= 0.3
@@ -245,13 +245,13 @@ def test_a7_oram_flaw_model(capsys, tmp_path):
     ds_off = run_distinguishing_game(_oram_config(False, 9700),
                                      out_dir=tmp_path / "a7off", jobs=JOBS)
     rep_off = evaluate_advantage(ds_off, list(FEATURE_SET_NAMES), trials=10,
-                                 test_frac=0.2, l2_lambda=0.1, iterations=1000)
+                                 test_frac=0.2, l2_lambda=0.1, iterations=1000, jobs=JOBS)
     off_adv = max(rep_off.sets[n].normalized_mean for n in FEATURE_SET_NAMES)
 
     ds_on = run_distinguishing_game(_oram_config(True, 9701),
                                     out_dir=tmp_path / "a7on", jobs=JOBS)
     rep_on = evaluate_advantage(ds_on, ["F3"], trials=10, test_frac=0.2,
-                                l2_lambda=0.1, iterations=1000)
+                                l2_lambda=0.1, iterations=1000, jobs=JOBS)
     on_adv = rep_on.sets["F3"].normalized_mean
 
     ok = off_adv <= 0.05 and on_adv >= 0.1
@@ -276,7 +276,7 @@ def test_a8_fingerprinting(capsys, tmp_path):
     ds = run_fingerprinting_game(cfg, out_dir=tmp_path / "a8", jobs=JOBS)
     rep = fingerprint_advantage(ds, params=FeatureParams(m_cf=16, m_da=160),
                                 trials=5, test_frac=0.2, l2_lambda=0.1,
-                                iterations=1000)
+                                iterations=1000, jobs=JOBS)
     mem = rep.membership.normalized_mean
     _, fp_mean, fp_stderr = _raw_norm(rep.fingerprint)
     # identity is trained and scored on member traces only, ~70% of 1000

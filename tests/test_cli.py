@@ -344,8 +344,9 @@ def test_analyze_seq_and_union(capsys, loop_dataset, monkeypatch):
     monkeypatch.setattr(games, "parse_trace",
                         lambda text: parsed.append(text) or parse(text))
     capsys.readouterr()
+    # at one job, so that the parses happen in this process and are counted
     code, rep, _ = run_cli(capsys, "analyze", "--dataset", str(loop_dataset),
-                           "--sets", "F1,F5", "--seq", "--trials", "2")
+                           "--sets", "F1,F5", "--seq", "--trials", "2", "--jobs", "1")
     assert code == EXIT_OK
     assert set(rep["results"]["advantage"]["sets"]) == {"F1", "F5", "union"}
     assert "seq" in rep["results"]["seq"]["sets"]
@@ -426,6 +427,8 @@ def test_analyze_usage_errors(capsys, loop_dataset, tmp_path):
       "--claim-delta", "-0.5"], "--claim-delta"),
     (["bound", "--eps", "0.1", "--delta", "0.01", "--claim-delta", "0.5"],
      "--claim-delta"),
+    (["analyze", "--jobs", "0"], "--jobs must be >= 1"),
+    (["analyze", "--jobs", "-1"], "--jobs must be >= 1"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, loop_dataset, tmp_path, argv, flag):
     # each flag is rejected before any work, naming the flag

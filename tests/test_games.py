@@ -547,6 +547,45 @@ def test_walk_checks_every_member_file(reused_dataset):
         _walk_all(root)
 
 
+@pytest.mark.parametrize("case", ["member-edited", "head-truncated"])
+def test_pooled_walk_fails_like_the_serial_one(reused_dataset, capsys, case):
+    import multiprocessing
+
+    from leaklab.analysis import fingerprint_advantage
+    from leaklab.cli import EXIT_RUNTIME, main
+    from leaklab.trace import TraceSyntaxError
+
+    root, rows, member = reused_dataset
+    if case == "member-edited":
+        # valid trace text, but not the file written: a member is checked
+        # against its sha256 although it is never parsed
+        head = root / rows[rows[member]["obs"]]["path"]
+        (root / rows[member]["path"]).write_bytes(head.read_bytes())
+        want = ValueError
+    else:
+        # the last group head, cut mid-line, with a sha256 that matches
+        last = max(i for i, r in enumerate(rows) if r["obs"] == i)
+        path = root / rows[last]["path"]
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        rows[last]["sha256"] = hashlib.sha256(data[: len(data) // 2]).hexdigest()
+        _write_manifest(root, rows)
+        want = TraceSyntaxError
+    assert len(LabeledDataset.load(root).heads()) > 2
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(want) as info:
+            fingerprint_advantage(LabeledDataset.load(root), trials=2, jobs=jobs)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    capsys.readouterr()
+    code = main(["analyze", "--dataset", str(root), "--fingerprint", "--trials", "2",
+                 "--jobs", "2"])
+    assert code == EXIT_RUNTIME and errors[0][1] in capsys.readouterr().err
+    # the pool is shut down on the error: no worker outlives the call
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda rows, i: rows[i].update(obs=i + 1), "points forward"),
     (lambda rows, i: rows[i].pop("sha256"), "come together"),

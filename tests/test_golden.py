@@ -2,7 +2,8 @@
 
 Each case runs ``leaklab simulate`` at ``--jobs`` 1 and 2, requires the
 two dataset directories to be equal byte for byte, then runs ``leaklab
-analyze`` on the dataset.  The case's digest covers each entry's seed,
+analyze`` on the dataset at ``--jobs`` 1 and 2 and requires equal
+results.  The case's digest covers each entry's seed,
 label and canonical trace text (``write_trace`` of the loaded trace),
 then the analyze report's ``results``, the format-independent digest of
 ``benchmarks/checks.py``.  It must equal the one in ``golden.json``.
@@ -135,7 +136,7 @@ def _tree_bytes(root: Path) -> dict:
 
 
 def run_case(name: str, work: Path) -> str:
-    """Simulate at --jobs 1 and 2, analyze, and return the case's digest."""
+    """Simulate and analyze at --jobs 1 and 2; return the case's digest."""
     config, analyze_args = CASES[name]
     cfg_path = work / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -144,9 +145,14 @@ def run_case(name: str, work: Path) -> str:
         _cli("simulate", "--config", cfg_path, "--out", out, "--jobs", jobs)
     assert _tree_bytes(dirs[1]) == _tree_bytes(dirs[2]), \
         f"{name}: --jobs 1 and 2 wrote different datasets"
-    report_path = work / "report.json"
-    _cli("analyze", "--dataset", dirs[1], *analyze_args, "--report", report_path)
-    results = json.loads(report_path.read_text())["results"]
+    results = {}
+    for jobs in (1, 2):
+        report_path = work / f"report{jobs}.json"
+        _cli("analyze", "--dataset", dirs[1], *analyze_args, "--jobs", jobs,
+             "--report", report_path)
+        results[jobs] = json.loads(report_path.read_text())["results"]
+    assert results[1] == results[2], f"{name}: analyze --jobs 1 and 2 differ"
+    results = results[1]
 
     h = hashlib.sha256()
     for entry in LabeledDataset.load(dirs[1]).entries:
