@@ -12,12 +12,22 @@ For a balanced two-class game the baseline is 1/2, so::
 
 Fingerprinting games have prior-dependent baselines; see
 :func:`fingerprint_advantage`.
+
+Every classifier is fitted by :func:`_lbfgs`, an L-BFGS solver in numpy
+(10 curvature pairs, Armijo backtracking).  It stops at a gradient whose
+largest entry is at most 1e-9 or at a relative loss decrease of at most
+1e-14, and after at most ``iterations`` iterations and 20 times as many
+objective evaluations.  A fit that ends with a gradient norm above 1e-4
+did not converge; :class:`SetResult` keeps the worst one of its set.
+scipy is loaded only for the n-gram model's sparse matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +57,18 @@ __all__ = [
 # logistic regression
 # ---------------------------------------------------------------------------
 
-# scipy.sparse and scipy.optimize are imported where a matrix is built or
-# fitted: loading them costs more than bound, sweep or simulate run for.
+# A sparse input can only exist once scipy.sparse is loaded, so the dense
+# paths test for one without importing it.
+
+def _issparse(X) -> bool:
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(X)
+
 
 def _as_matrix(X):
-    import scipy.sparse
+    if _issparse(X):
+        import scipy.sparse
 
-    if scipy.sparse.issparse(X):
         return scipy.sparse.csr_matrix(X, dtype=np.float64)
     return np.asarray(X, dtype=np.float64)
 
@@ -74,6 +89,7 @@ class LogRegModel:
     l2_lambda: float
     loss_history: list[float]
     grad_norm: float
+    converged: bool
 
     def _scores(self, X):
         return _standardize(_as_matrix(X), self.mean, self.scale) @ self.weights + self.bias
@@ -95,9 +111,7 @@ class LogRegModel:
 
 
 def _standardization(X):
-    import scipy.sparse
-
-    if scipy.sparse.issparse(X):
+    if _issparse(X):
         # column scaling only: centering would densify the matrix, and
         # hashed-count features are near-centered anyway
         m = np.zeros(X.shape[1])
@@ -113,11 +127,77 @@ def _standardization(X):
 def _standardize(X, mean, scale):
     """``(X - mean) / scale``: a sparse ``X`` has a zero ``mean`` (see
     :func:`_standardization`) and is only scaled, so that it stays sparse."""
-    import scipy.sparse
-
-    if scipy.sparse.issparse(X):
+    if _issparse(X):
         return X.multiply(1.0 / scale).tocsr()
     return (X - mean) / scale
+
+
+# _lbfgs stops at max|g| <= _GTOL or at a relative loss decrease <= _FTOL;
+# a fit whose final gradient norm is above _FIT_TOLERANCE did not converge
+_GTOL = 1e-9
+_FTOL = 1e-14
+_FIT_TOLERANCE = 1e-4
+
+
+def _lbfgs(fun, x0, iterations: int, callback):
+    """Minimize ``fun(x) -> (loss, gradient)`` from ``x0`` by L-BFGS.
+
+    The direction comes from the last 10 curvature pairs; a pair with
+    ``s.y <= 0`` is not kept.  The first step has length ``min(1, 1/||g||)``
+    along ``-g``, later ones start at 1.  A step is halved until it meets
+    the Armijo condition, which a non-finite trial loss never does.
+    ``callback(x, loss)`` sees each accepted iterate.
+
+    Stops at ``max|g| <= _GTOL``, at a relative decrease of at most
+    ``_FTOL``, after ``iterations`` iterations, after ``20 * iterations``
+    evaluations of ``fun``, when a halved step no longer moves ``x``, or
+    when ``g`` is not finite.  Returns ``(x, g, converged)``: the last
+    accepted iterate, its gradient, and whether one of the first two
+    rules stopped the run.
+    """
+    x = x0
+    f, g = fun(x)
+    evals = 1
+    pairs = deque(maxlen=10)  # (s, y, 1 / s.y)
+    for it in range(iterations):
+        if np.max(np.abs(g)) <= _GTOL:
+            return x, g, True
+        # two-loop recursion: d = -H g
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * (s @ d)
+            d = d - a * y
+            alphas.append(a)
+        if pairs:
+            s, y, _ = pairs[-1]
+            d = d * ((s @ y) / (y @ y))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d = d + (a - rho * (y @ d)) * s
+        step = min(1.0, 1.0 / np.linalg.norm(g)) if it == 0 else 1.0
+        slope = g @ d
+        if not slope < 0:  # d descends unless g is not finite
+            return x, g, False
+        while True:
+            if evals >= 20 * iterations:
+                return x, g, False
+            x_new = x + step * d
+            if np.array_equal(x_new, x):
+                return x, g, False
+            f_new, g_new = fun(x_new)
+            evals += 1
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        f_old, x, f, g = f, x_new, f_new, g_new
+        callback(x, f)
+        if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
+            return x, g, True
+    return x, g, bool(np.max(np.abs(g)) <= _GTOL)
 
 
 def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogRegModel:
@@ -125,9 +205,16 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
 
     The objective is mean cross-entropy plus ``l2_lambda/2 * ||W||^2``
     (bias unpenalized) over standardized features; it is smooth and
-    strongly convex, and the fit is deterministic given the inputs.  The
-    gradient norm at the returned weights is stored on the model and is
-    expected to be at most 1e-4.
+    strongly convex, and the fit is deterministic given the inputs.
+
+    The solver is :func:`_lbfgs`, in numpy: L-BFGS with 10 curvature
+    pairs and Armijo backtracking.  It stops at a gradient whose largest
+    entry is at most 1e-9, or at a relative loss decrease of at most
+    1e-14, or after ``iterations`` iterations or ``20 * iterations``
+    evaluations of the objective.  ``loss_history`` holds the loss at
+    each accepted iterate, ``converged`` says whether the first two rules
+    stopped the solver, and ``grad_norm`` is the norm of the gradient at
+    the returned weights; a fit is expected to end with it at most 1e-4.
 
     A column that is exactly zero on every standardized training row (a
     sparse column with no stored entry, or a dense one that is constant
@@ -139,17 +226,12 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     full-dimension optimum to solver tolerance (about 1e-9), not
     bitwise, and the gradient norm stays far below 1e-4.
     """
-    import scipy.optimize
-    import scipy.sparse
-
     X = _as_matrix(X)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, d) with one label per row")
-    if scipy.sparse.issparse(X):
-        if not np.all(np.isfinite(X.data)):
-            raise ValueError("features must be finite")
-    elif not np.all(np.isfinite(X)):
+    sparse = _issparse(X)
+    if not np.all(np.isfinite(X.data if sparse else X)):
         raise ValueError("features must be finite")
     classes = np.unique(y)
     k = len(classes)
@@ -161,10 +243,7 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     mean, scale = _standardization(X)
     Xs = _standardize(X, mean, scale)
     n, full_d = Xs.shape
-    if scipy.sparse.issparse(Xs):
-        active = Xs.getnnz(axis=0) > 0
-    else:
-        active = np.any(Xs != 0, axis=0)
+    active = Xs.getnnz(axis=0) > 0 if sparse else np.any(Xs != 0, axis=0)
     if not active.all():
         Xs = Xs[:, active]
     d = Xs.shape[1]
@@ -208,18 +287,9 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
         theta0 = np.zeros(d * k + k)
 
     history: list[float] = []
-
-    def record(intermediate_result):
-        # the solver's own loss at the iterate: no extra evaluation
-        history.append(intermediate_result.fun)
-
-    res = scipy.optimize.minimize(
-        objective, theta0, jac=True, method="L-BFGS-B", callback=record,
-        options={"maxiter": iterations, "maxfun": 20 * iterations,
-                 "ftol": 1e-14, "gtol": 1e-9},
-    )
-    theta = res.x
-    grad_norm = float(np.linalg.norm(objective(theta)[1]))
+    theta, grad, converged = _lbfgs(objective, theta0, iterations,
+                                    lambda theta, loss: history.append(loss))
+    grad_norm = float(np.linalg.norm(grad))
 
     if k == 2:
         weights, bias = theta[:d], np.float64(theta[d])
@@ -234,6 +304,7 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     return LogRegModel(
         classes=classes, weights=weights, bias=bias, mean=mean, scale=scale,
         l2_lambda=l2_lambda, loss_history=history, grad_norm=grad_norm,
+        converged=converged,
     )
 
 
@@ -267,10 +338,21 @@ def stratified_split(y, test_frac: float, rng: np.random.Generator):
 
 @dataclass
 class SetResult:
-    """Accuracy and advantage of one feature set over the trial splits."""
+    """Accuracy and advantage of one feature set over the trial splits.
+
+    ``grad_norm`` is the largest final gradient norm of the set's fits.
+    It stays out of :meth:`to_json`, so that a report does not change
+    with the solver's rounding; ``converged`` says whether every fit
+    ended with a gradient norm of at most 1e-4.
+    """
 
     accuracies: list[float]
     baseline: float = 0.5
+    grad_norm: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.grad_norm <= _FIT_TOLERANCE
 
     @property
     def accuracy_mean(self) -> float:
@@ -362,39 +444,42 @@ def _walk(dataset, featurize, jobs: int = 1) -> tuple[list, list]:
     ciphertext diff only through its page and block.
 
     With ``jobs`` above 1 and the traces on disk, a pool of at most one
-    worker per group head loads and featurizes the heads, and this
-    process loads the solver meanwhile; the values are still taken in
-    dataset order, so they do not depend on ``jobs``.  ``featurize``
-    must then pickle.
+    worker per group head loads and featurizes the heads, while this
+    process reads and checks the other members' files (and loads
+    scipy.sparse when ``featurize.seq`` asks for tokens); the values are
+    still taken in dataset order, so they do not depend on ``jobs``.
+    ``featurize`` must then pickle.
     """
     heads = dataset.heads()
     if any(e.trace is not None for e in heads):
         jobs = 1
     jobs = min(jobs, len(heads))
     with ordered_map(functools.partial(_featurize_entry, featurize), jobs, heads) as values:
-        if jobs > 1:
-            # every walk is followed by fits: load the solver while the
+        if jobs > 1 and featurize.seq:
+            # the n-gram matrix needs scipy.sparse: load it while the
             # workers parse
-            import scipy.optimize  # noqa: F401
             import scipy.sparse  # noqa: F401
         rows = dataset.spread(values)
     return rows, [e.label for e in dataset.entries]
 
 
-def _trial_accuracies(X, y, seed: tuple, trials: int, test_frac: float,
-                      l2_lambda: float, iterations: int) -> list[float]:
-    """Held-out accuracy of one classifier per trial.
+def _trial_set(X, y, seed: tuple, trials: int, test_frac: float, l2_lambda: float,
+               iterations: int, baseline: float = 0.5) -> SetResult:
+    """Held-out accuracy of one classifier per trial, as a :class:`SetResult`
+    with ``baseline`` and the largest final gradient norm of the fits.
 
     Trial ``t`` splits with a generator seeded ``(*seed, t)``, so reports
     are reproducible and every matrix measured under one seed sees the
     same splits.
     """
-    accs = []
+    accs, grad_norm = [], 0.0
     for trial in range(trials):
         tr, te = stratified_split(y, test_frac, np.random.default_rng([*seed, trial]))
         model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda, iterations=iterations)
         accs.append(model.accuracy(X[te], y[te]))
-    return accs
+        if not model.grad_norm <= grad_norm:  # a NaN norm counts as the worst
+            grad_norm = model.grad_norm
+    return SetResult(accs, baseline, grad_norm)
 
 
 def advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
@@ -406,20 +491,19 @@ def advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
     seeded ``(split_seed, trial)``, plus one on the column-wise union of
     the sets when there are several.
     """
-    import scipy.sparse
-
     y = np.asarray(y)
     mats = {name: _as_matrix(X) for name, X in X_by_set.items()}
     if len(mats) > 1:
         parts = list(mats.values())
-        if any(scipy.sparse.issparse(m) for m in parts):
+        if any(_issparse(m) for m in parts):
+            import scipy.sparse
+
             mats["union"] = scipy.sparse.hstack(parts, format="csr")
         else:
             mats["union"] = np.hstack(parts)
     fit = (trials, test_frac, l2_lambda, iterations)
     return AdvantageReport(
-        sets={name: SetResult(_trial_accuracies(X, y, (split_seed,), *fit))
-              for name, X in mats.items()},
+        sets={name: _trial_set(X, y, (split_seed,), *fit) for name, X in mats.items()},
         trials=trials, n_traces=len(y),
     )
 
@@ -530,12 +614,12 @@ def fingerprint_advantage(dataset, *, params=None, trials: int = 5,
     member_idx = np.flatnonzero(members == 1)
     split_seed = getattr(dataset, "base_seed", 0)
     fit = (trials, test_frac, l2_lambda, iterations)
-    mem_accs = _trial_accuracies(X, members, (split_seed, 101), *fit)
-    fp_accs = _trial_accuracies(X[member_idx], identities[member_idx],
-                                (split_seed, 202), *fit)
     return FingerprintReport(
-        membership=SetResult(mem_accs, baseline=dataset.s_c),
-        fingerprint=SetResult(fp_accs, baseline=dataset.s_f),
+        membership=_trial_set(X, members, (split_seed, 101), *fit,
+                              baseline=dataset.s_c),
+        fingerprint=_trial_set(X[member_idx], identities[member_idx],
+                               (split_seed, 202), *fit,
+                               baseline=dataset.s_f),
         s_c=dataset.s_c, s_f=dataset.s_f,
     )
 

@@ -165,7 +165,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    from .analysis import advantage_reports, fingerprint_advantage
+    from .analysis import _FIT_TOLERANCE, advantage_reports, fingerprint_advantage
     from .features import FeatureParams
     from .games import LabeledDataset
 
@@ -197,6 +197,7 @@ def _cmd_analyze(args) -> int:
             raise _config_error("--fingerprint needs a fingerprinting dataset")
         rep = fingerprint_advantage(ds, params=params, jobs=args.jobs, **kw)
         results["fingerprint"] = rep.to_json()
+        sets = {"membership": rep.membership, "fingerprint": rep.fingerprint}
     else:
         names = _parse_sets(args.sets)
         if not names and not args.seq:
@@ -204,6 +205,11 @@ def _cmd_analyze(args) -> int:
         reports = advantage_reports(ds, names or None, seq=args.seq,
                                     params=params, jobs=args.jobs, **kw)
         results.update((key, rep.to_json()) for key, rep in reports.items())
+        sets = {name: r for rep in reports.values() for name, r in rep.sets.items()}
+    unconverged = sorted(name for name, r in sets.items() if not r.converged)
+    for name in unconverged:
+        print(f"leaklab: warning: a fit of set {name} did not converge (gradient "
+              f"norm {sets[name].grad_norm:.3g} > {_FIT_TOLERANCE:g})", file=sys.stderr)
 
     if args.svg:
         from .plotting import bar_chart
@@ -220,8 +226,8 @@ def _cmd_analyze(args) -> int:
 
     _emit_report(args, command="analyze", params=cli_params, results=results,
                  config_hash=ds.metadata.get("config_hash"),
-                 seed=ds.base_seed)
-    return EXIT_OK
+                 seed=ds.base_seed, ok=not unconverged)
+    return EXIT_VERIFY if unconverged else EXIT_OK
 
 
 def _parse_sets(spec: str | None) -> list[str]:

@@ -11,7 +11,9 @@ seeded ``(split_seed, 101, trial)`` with the identity split seeded
 
 ``oracle_train_logreg`` is ``train_logreg`` as it was before it fitted
 only the columns that are nonzero on some standardized training row: it
-optimises every column.
+optimises every column.  Its default solver, :func:`scipy_lbfgsb`, is
+scipy's L-BFGS-B with the stopping rule of ``analysis._lbfgs``, which
+replaced it.
 """
 
 import numpy as np
@@ -36,9 +38,23 @@ def _as_matrix(X):
     return np.asarray(X, dtype=np.float64)
 
 
-def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogRegModel:
+def scipy_lbfgsb(fun, x0, iterations: int, callback):
+    """``analysis._lbfgs``'s contract, solved by scipy's L-BFGS-B."""
     import scipy.optimize
 
+    def record(intermediate_result):
+        callback(intermediate_result.x, intermediate_result.fun)
+
+    res = scipy.optimize.minimize(
+        fun, x0, jac=True, method="L-BFGS-B", callback=record,
+        options={"maxiter": iterations, "maxfun": 20 * iterations,
+                 "ftol": 1e-14, "gtol": 1e-9},
+    )
+    return res.x, res.jac, bool(res.success)
+
+
+def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000,
+                        solver=scipy_lbfgsb) -> LogRegModel:
     X = _as_matrix(X)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -98,16 +114,8 @@ def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) ->
         theta0 = np.zeros(d * k + k)
 
     history: list[float] = []
-
-    def record(intermediate_result):
-        history.append(intermediate_result.fun)
-
-    res = scipy.optimize.minimize(
-        objective, theta0, jac=True, method="L-BFGS-B", callback=record,
-        options={"maxiter": iterations, "maxfun": 20 * iterations,
-                 "ftol": 1e-14, "gtol": 1e-9},
-    )
-    theta = res.x
+    theta, _, converged = solver(objective, theta0, iterations,
+                                 lambda theta, loss: history.append(loss))
     grad_norm = float(np.linalg.norm(objective(theta)[1]))
 
     if k == 2:
@@ -117,6 +125,7 @@ def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) ->
     return LogRegModel(
         classes=classes, weights=weights, bias=bias, mean=mean, scale=scale,
         l2_lambda=l2_lambda, loss_history=history, grad_norm=grad_norm,
+        converged=converged,
     )
 
 

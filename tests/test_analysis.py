@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import leaklab.analysis as analysis
 from leaklab.analysis import (
     SetResult,
     advantage_from_matrices,
@@ -33,6 +34,7 @@ from oracle_analysis import (
     oracle_advantage_from_matrices,
     oracle_fingerprint_advantage,
     oracle_train_logreg,
+    scipy_lbfgsb,
 )
 
 
@@ -296,19 +298,17 @@ def test_ks_against_scipy(rng):
 
 def _fit_with_reevaluated_history(monkeypatch, X, y, **kw):
     """Fit, also recording the loss history by re-running the objective at
-    every iterate the solver reports (how the history used to be kept)."""
-    import scipy.optimize
-
-    minimize = scipy.optimize.minimize
+    every iterate the solver accepts (how the history used to be kept)."""
+    lbfgs = analysis._lbfgs
     reevaluated = []
 
-    def spy(fun, x0, *args, callback, **kwargs):
-        def both(intermediate_result):
-            reevaluated.append(fun(intermediate_result.x)[0])
-            callback(intermediate_result)
-        return minimize(fun, x0, *args, callback=both, **kwargs)
+    def spy(fun, x0, iterations, callback):
+        def both(x, loss):
+            reevaluated.append(fun(x)[0])
+            callback(x, loss)
+        return lbfgs(fun, x0, iterations, both)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    monkeypatch.setattr(analysis, "_lbfgs", spy)
     return train_logreg(X, y, **kw), reevaluated
 
 
@@ -361,11 +361,12 @@ def test_logreg_without_zero_columns_is_the_full_fit(rng, kind):
         X = scipy.sparse.csr_matrix(X)
         assert X.getnnz(axis=0).min() > 0
     got = train_logreg(X, y, l2_lambda=0.1)
-    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    want = oracle_train_logreg(X, y, l2_lambda=0.1, solver=analysis._lbfgs)
     assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.bias, want.bias)
     assert got.loss_history == want.loss_history
     assert got.grad_norm == want.grad_norm
+    assert got.converged and want.converged
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -412,16 +413,14 @@ def test_logreg_all_zero_matrix_fits_bias_only(rng, k, sparse):
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 @pytest.mark.parametrize("kind", ["binary", "multinomial"])
 def test_solver_sees_only_active_columns(rng, monkeypatch, kind, sparse):
-    import scipy.optimize
-
-    minimize = scipy.optimize.minimize
+    lbfgs = analysis._lbfgs
     sizes = []
 
-    def spy(fun, x0, *args, **kwargs):
+    def spy(fun, x0, *args):
         sizes.append(len(x0))
-        return minimize(fun, x0, *args, **kwargs)
+        return lbfgs(fun, x0, *args)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    monkeypatch.setattr(analysis, "_lbfgs", spy)
     X, y = _fit_data(rng, kind)
     X = _plant_zero_columns(X, sparse)
     train_logreg(X, y, l2_lambda=0.1)
@@ -430,8 +429,85 @@ def test_solver_sees_only_active_columns(rng, monkeypatch, kind, sparse):
     assert sizes == [active * terms + terms]
 
 
+# -- the solver against scipy's L-BFGS-B ----------------------------------------
+
+def _solver_case(rng, kind, n):
+    """Rows of one fit case; the same call gives held-out rows."""
+    if kind == "a8":
+        # A8's identity fits: 181 classes, most with one or two training
+        # rows, over the 163 columns that move
+        centers = np.random.default_rng(8).normal(size=(181, 163))
+        y = np.concatenate([np.arange(181), rng.integers(0, 181, size=n - 181)])
+        return centers[y] * 0.5 + rng.normal(size=(n, 163)), y
+    X, y = _fit_data(rng, kind if kind == "multinomial" else "binary", n=n)
+    if kind == "sparse":
+        X[X < 0.5] = 0.0
+        X = scipy.sparse.csr_matrix(X)
+    return X, y
+
+
+@pytest.mark.parametrize("kind", ["binary", "multinomial", "sparse", "a8"])
+def test_solver_matches_scipy_lbfgsb(rng, kind):
+    X, y = _solver_case(rng, kind, 241)
+    Xt, _ = _solver_case(rng, kind, 241)
+    got = train_logreg(X, y, l2_lambda=0.1)
+    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    assert np.max(np.abs(got.weights - want.weights)) <= 1e-6
+    assert np.array_equal(got.predict(Xt), want.predict(Xt))
+    assert got.converged and got.grad_norm <= 1e-4
+    assert got.loss_history == sorted(got.loss_history, reverse=True)
+
+
+def test_solver_backs_off_from_a_non_finite_loss(rng):
+    # features scaled by 1e3 and the softplus written as log1p(exp(z)):
+    # the first step (length 1) reaches rows with z ~ 1e3, where the loss
+    # overflows to inf.  scipy's line search stops at a non-finite trial,
+    # so it minimises the stable form, which is equal wherever both are
+    # finite.  Weights are compared on the unscaled features.
+    n, d, scale, lam = 120, 5, 1e3, 0.1
+    X, y = blobs(rng, n=2 * n, d=d, gap=1.5)
+    X[:, -1] = 1.0
+    X *= scale
+    y = y.astype(float)
+    losses = []
+
+    def objective(softplus):
+        def fun(w):
+            z = X[:n] @ w
+            with np.errstate(over="ignore"):
+                loss = float(np.mean(softplus(z) - y[:n] * z))
+                r = 1.0 / (1.0 + np.exp(-z)) - y[:n]
+            losses.append(loss + 0.5 * lam * scale**2 * float(w @ w))
+            return losses[-1], X[:n].T @ r / n + lam * scale**2 * w
+        return fun
+
+    history = []
+    w, g, converged = analysis._lbfgs(objective(lambda z: np.log1p(np.exp(z))),
+                                      np.zeros(d), 1000, lambda x, loss: history.append(loss))
+    assert not all(np.isfinite(losses))
+    assert converged and np.linalg.norm(g) <= 1e-4
+    assert history == sorted(history, reverse=True)
+    want, _, _ = scipy_lbfgsb(objective(lambda z: np.logaddexp(0.0, z)),
+                              np.zeros(d), 1000, lambda x, loss: None)
+    assert np.max(np.abs(w - want)) * scale <= 1e-6
+    assert np.array_equal(X[n:] @ w > 0, X[n:] @ want > 0)
+
+
+def test_unconverged_fit_is_reported(rng):
+    # separable rows and no penalty: the loss has no minimum, so two
+    # iterations end far from a zero gradient
+    X, y = blobs(rng, n=60, d=3, gap=20.0)
+    model = train_logreg(X, y, l2_lambda=0.0, iterations=2)
+    assert not model.converged and model.grad_norm > 1e-4
+    assert len(model.loss_history) == 2
+    rep = advantage_from_matrices({"a": X}, y, trials=2, l2_lambda=0.0, iterations=2)
+    assert not rep.sets["a"].converged and rep.sets["a"].grad_norm > 1e-4
+    rep = advantage_from_matrices({"a": X}, y, trials=2)
+    assert rep.sets["a"].converged and 0 < rep.sets["a"].grad_norm <= 1e-4
+
+
 def test_cli_import_leaves_optimizer_unloaded():
-    # simulate and --dry-run never fit; scipy loads on first fit
+    # importing the CLI loads no scipy module
     code = ("import sys, leaklab.cli; "
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -504,7 +580,6 @@ def test_reused_distinguish_matches_oracle(tmp_path, where):
 
 @pytest.mark.parametrize("name", list(_REUSABLE))
 def test_walk_parses_and_featurizes_once_per_group(tmp_path, monkeypatch, name):
-    import leaklab.analysis as analysis
     import leaklab.games as games
 
     ds = _reusable_dataset(name, "jobs1", tmp_path)

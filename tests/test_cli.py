@@ -363,6 +363,18 @@ def test_analyze_seq_and_union(capsys, loop_dataset, monkeypatch):
         assert rep["results"][key] == json.loads(json.dumps(report.to_json()))
 
 
+def test_analyze_fails_loudly_on_an_unconverged_fit(capsys, loop_dataset):
+    # separable traces and no penalty: two iterations end far from a zero
+    # gradient, so the report is not ok
+    capsys.readouterr()
+    code, rep, err = run_cli(capsys, "analyze", "--dataset", str(loop_dataset),
+                             "--sets", "F1", "--trials", "2", "--l2-lambda", "0",
+                             "--iterations", "2")
+    assert code == EXIT_VERIFY and rep["ok"] is False
+    assert "a fit of set F1 did not converge" in err
+    assert set(rep["results"]["advantage"]["sets"]) == {"F1"}
+
+
 def test_analyze_svg_output(capsys, loop_dataset, tmp_path):
     capsys.readouterr()
     svg = tmp_path / "adv.svg"
@@ -525,8 +537,8 @@ def test_console_entry_point():
 
 
 def test_non_fit_commands_leave_scipy_unloaded(tmp_path):
-    # only fits need scipy: simulate (also --dry-run), bound, sweep and
-    # covert must run without loading any of it
+    # simulate (also --dry-run), bound, sweep and covert must run without
+    # loading any scipy module
     cfg = write_config(tmp_path, LOOP_CONFIG)
     code = f"""
 import contextlib, io, sys
@@ -546,6 +558,34 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"
     assert (tmp_path / "ds" / "dataset.json").is_file()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analyze_loads_scipy_only_for_the_ngram_matrix(tmp_path, loop_dataset, jobs):
+    # the solver is numpy only: scipy.sparse loads for --seq's n-gram
+    # matrix, and scipy.optimize never
+    fp = tmp_path / "fp"
+    cfg = {**FP_CONFIG, "n_traces": 30, "base_seed": 31,
+           "prior": {"kind": "table",
+                     "table": {"a.io": 4, "b.io": 3, "c.com": 3, "d.com": 2}},
+           "interest": {"kind": "list", "values": ["a.io", "b.io", "c.com"]}}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(fp)]) == EXIT_OK
+    code = f"""
+import contextlib, io, sys
+from leaklab.cli import main
+def scipy_after(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", *argv, "--trials", "2", "--jobs", {jobs!r}]) == 0, argv
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(scipy_after("--dataset", {str(fp)!r}, "--fingerprint"))
+print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all"))
+seq = scipy_after("--dataset", {str(loop_dataset)!r}, "--seq")
+print("scipy.sparse" in seq, "scipy.optimize" in seq)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split("\n") == ["[]", "[]", "True False", ""]
 
 
 def test_simulate_counts_observations_of_a_reusable_config(capsys, tmp_path):
