@@ -19,16 +19,15 @@ largest entry is at most 1e-9 or at a relative loss decrease of at most
 1e-14, and after at most ``iterations`` iterations and 20 times as many
 objective evaluations.  A fit that ends with a gradient norm above 1e-4
 did not converge; :class:`SetResult` keeps the worst one of its set.
-scipy is loaded only for the n-gram model's sparse matrix.
+The package runs on numpy alone: no command loads scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,28 +56,13 @@ __all__ = [
 # logistic regression
 # ---------------------------------------------------------------------------
 
-# A sparse input can only exist once scipy.sparse is loaded, so the dense
-# paths test for one without importing it.
-
-def _issparse(X) -> bool:
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(X)
-
-
-def _as_matrix(X):
-    if _issparse(X):
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix(X, dtype=np.float64)
-    return np.asarray(X, dtype=np.float64)
-
-
 @dataclass
 class LogRegModel:
     """A fitted (possibly multinomial) logistic regression.
 
     ``weights`` is (d,) for two classes and (d, K) otherwise; inputs are
-    standardized with the stored ``mean``/``scale`` before scoring.
+    standardized with the stored ``mean``/``scale`` (see
+    :func:`_standardize`) before scoring.
     """
 
     classes: np.ndarray
@@ -90,9 +74,11 @@ class LogRegModel:
     loss_history: list[float]
     grad_norm: float
     converged: bool
+    center: bool = True
 
     def _scores(self, X):
-        return _standardize(_as_matrix(X), self.mean, self.scale) @ self.weights + self.bias
+        X = np.asarray(X, dtype=np.float64)
+        return _standardize(X, self.mean, self.scale, self.center) @ self.weights + self.bias
 
     def predict_proba(self, X) -> np.ndarray:
         z = self._scores(X)
@@ -110,26 +96,25 @@ class LogRegModel:
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
 
-def _standardization(X):
-    if _issparse(X):
-        # column scaling only: centering would densify the matrix, and
-        # hashed-count features are near-centered anyway
-        m = np.zeros(X.shape[1])
-        sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
-        s = np.sqrt(sq)
-    else:
+def _standardization(X, center: bool):
+    """Column ``(mean, scale)``: mean and standard deviation when
+    ``center``, else zero and the root mean square.  A zero scale becomes
+    1; a scale that is not finite raises ``ValueError``."""
+    if center:
         m = X.mean(axis=0)
         s = X.std(axis=0)
-    s = np.where(s > 0, s, 1.0)
-    return m, s
+    else:
+        m = np.zeros(X.shape[1])
+        s = np.sqrt((X * X * (1.0 / X.shape[0])).sum(axis=0))
+    bad = np.flatnonzero(~np.isfinite(s))
+    if len(bad):
+        raise ValueError(f"feature columns {bad.tolist()} overflow when standardized")
+    return m, np.where(s > 0, s, 1.0)
 
 
-def _standardize(X, mean, scale):
-    """``(X - mean) / scale``: a sparse ``X`` has a zero ``mean`` (see
-    :func:`_standardization`) and is only scaled, so that it stays sparse."""
-    if _issparse(X):
-        return X.multiply(1.0 / scale).tocsr()
-    return (X - mean) / scale
+def _standardize(X, mean, scale, center: bool):
+    """``(X - mean) / scale``, or ``X * (1 / scale)`` without centering."""
+    return (X - mean) / scale if center else X * (1.0 / scale)
 
 
 # _lbfgs stops at max|g| <= _GTOL or at a relative loss decrease <= _FTOL;
@@ -200,12 +185,18 @@ def _lbfgs(fun, x0, iterations: int, callback):
     return x, g, bool(np.max(np.abs(g)) <= _GTOL)
 
 
-def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogRegModel:
+def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000,
+                 center: bool = True) -> LogRegModel:
     """Fit L2-regularized logistic regression with a quasi-Newton solver.
 
     The objective is mean cross-entropy plus ``l2_lambda/2 * ||W||^2``
     (bias unpenalized) over standardized features; it is smooth and
     strongly convex, and the fit is deterministic given the inputs.
+
+    Each column is centered and divided by its standard deviation, or,
+    without ``center``, multiplied by the inverse of its root mean square,
+    so that counts keep their zeros.  A scale that overflows raises
+    ``ValueError``.
 
     The solver is :func:`_lbfgs`, in numpy: L-BFGS with 10 curvature
     pairs and Armijo backtracking.  It stops at a gradient whose largest
@@ -216,9 +207,9 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     stopped the solver, and ``grad_norm`` is the norm of the gradient at
     the returned weights; a fit is expected to end with it at most 1e-4.
 
-    A column that is exactly zero on every standardized training row (a
-    sparse column with no stored entry, or a dense one that is constant
-    and standardizes to exact zeros) is seen only by the penalty, so its
+    A column that is exactly zero on every standardized training row (an
+    all-zero column, or, with ``center``, a constant one that
+    standardizes to exact zeros) is seen only by the penalty, so its
     optimal weight is 0: the solver runs on the other columns and those
     weights are 0 in ``weights``, whose shape stays (d,) or (d, K).  With
     no such column the fit is exactly the full-dimension one.  With
@@ -226,12 +217,11 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     full-dimension optimum to solver tolerance (about 1e-9), not
     bitwise, and the gradient norm stays far below 1e-4.
     """
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, d) with one label per row")
-    sparse = _issparse(X)
-    if not np.all(np.isfinite(X.data if sparse else X)):
+    if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
     classes = np.unique(y)
     k = len(classes)
@@ -240,10 +230,10 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     if l2_lambda < 0:
         raise ValueError("l2_lambda must be non-negative")
 
-    mean, scale = _standardization(X)
-    Xs = _standardize(X, mean, scale)
+    mean, scale = _standardization(X, center)
+    Xs = _standardize(X, mean, scale, center)
     n, full_d = Xs.shape
-    active = Xs.getnnz(axis=0) > 0 if sparse else np.any(Xs != 0, axis=0)
+    active = np.any(Xs != 0, axis=0)
     if not active.all():
         Xs = Xs[:, active]
     d = Xs.shape[1]
@@ -259,7 +249,6 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
             loss += 0.5 * l2_lambda * float(w @ w)
             r = 1.0 / (1.0 + np.exp(-z)) - yb
             gw = (Xs.T @ r) / n
-            gw = np.asarray(gw).ravel()
             gw += l2_lambda * w
             return loss, np.concatenate([gw, [r.mean()]])
 
@@ -280,7 +269,6 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
             p = np.exp(z - lse[:, None])
             r = (p - onehot) / n
             gw = Xs.T @ r
-            gw = np.asarray(gw)
             gw += l2_lambda * w
             return loss, np.concatenate([gw.ravel(), r.sum(axis=0)])
 
@@ -304,7 +292,7 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000) -> LogReg
     return LogRegModel(
         classes=classes, weights=weights, bias=bias, mean=mean, scale=scale,
         l2_lambda=l2_lambda, loss_history=history, grad_norm=grad_norm,
-        converged=converged,
+        converged=converged, center=center,
     )
 
 
@@ -430,6 +418,13 @@ def _featurize_entry(featurize, entry):
     return featurize(entry.load())
 
 
+#: A walk starts its pool only when its group heads' trace files hold at
+#: least this many bytes.  Two workers at best halve a serial walk, which
+#: parses and featurizes about 14 MB/s, and starting them costs 12-40 ms
+#: (2-core host), so the pool pays only above 0.3-1.1 MB of trace text.
+_POOL_MIN_BYTES = 1 << 20
+
+
 def _walk(dataset, featurize, jobs: int = 1) -> tuple[list, list]:
     """``featurize(trace)`` over every trace in dataset order, then the
     labels.  No trace outlives the walk, or leaves the process it was
@@ -443,39 +438,39 @@ def _walk(dataset, featurize, jobs: int = 1) -> tuple[list, list]:
     only through equality and order of first appearance, and a
     ciphertext diff only through its page and block.
 
-    With ``jobs`` above 1 and the traces on disk, a pool of at most one
-    worker per group head loads and featurizes the heads, while this
-    process reads and checks the other members' files (and loads
-    scipy.sparse when ``featurize.seq`` asks for tokens); the values are
-    still taken in dataset order, so they do not depend on ``jobs``.
-    ``featurize`` must then pickle.
+    The walk runs in this process unless ``jobs`` is above 1, the traces
+    are on disk and the group heads' files hold at least
+    ``_POOL_MIN_BYTES``.  Then a pool of at most one worker per group
+    head loads and featurizes the heads, while this process reads and
+    checks the other members' files; the values are still taken in
+    dataset order, so they do not depend on ``jobs``.  ``featurize``
+    must then pickle.
     """
     heads = dataset.heads()
-    if any(e.trace is not None for e in heads):
+    # a missing file is left for the walk to report
+    if (any(e.trace is not None for e in heads)
+            or sum(e.path.stat().st_size for e in heads if e.path.is_file()) < _POOL_MIN_BYTES):
         jobs = 1
     jobs = min(jobs, len(heads))
     with ordered_map(functools.partial(_featurize_entry, featurize), jobs, heads) as values:
-        if jobs > 1 and featurize.seq:
-            # the n-gram matrix needs scipy.sparse: load it while the
-            # workers parse
-            import scipy.sparse  # noqa: F401
         rows = dataset.spread(values)
     return rows, [e.label for e in dataset.entries]
 
 
 def _trial_set(X, y, seed: tuple, trials: int, test_frac: float, l2_lambda: float,
-               iterations: int, baseline: float = 0.5) -> SetResult:
+               iterations: int, baseline: float = 0.5, center: bool = True) -> SetResult:
     """Held-out accuracy of one classifier per trial, as a :class:`SetResult`
     with ``baseline`` and the largest final gradient norm of the fits.
 
     Trial ``t`` splits with a generator seeded ``(*seed, t)``, so reports
     are reproducible and every matrix measured under one seed sees the
-    same splits.
+    same splits.  ``center`` is as in :func:`train_logreg`.
     """
     accs, grad_norm = [], 0.0
     for trial in range(trials):
         tr, te = stratified_split(y, test_frac, np.random.default_rng([*seed, trial]))
-        model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda, iterations=iterations)
+        model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda, iterations=iterations,
+                             center=center)
         accs.append(model.accuracy(X[te], y[te]))
         if not model.grad_norm <= grad_norm:  # a NaN norm counts as the worst
             grad_norm = model.grad_norm
@@ -484,26 +479,23 @@ def _trial_set(X, y, seed: tuple, trials: int, test_frac: float, l2_lambda: floa
 
 def advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
                             test_frac: float = 0.2, l2_lambda: float = 1.0,
-                            iterations: int = 1000, split_seed: int = 0) -> AdvantageReport:
+                            iterations: int = 1000, split_seed: int = 0,
+                            center: bool = True) -> AdvantageReport:
     """Core advantage measurement over precomputed feature matrices.
 
     One classifier per feature set per trial, on the stratified splits
     seeded ``(split_seed, trial)``, plus one on the column-wise union of
-    the sets when there are several.
+    the sets when there are several.  ``center`` is as in
+    :func:`train_logreg`.
     """
     y = np.asarray(y)
-    mats = {name: _as_matrix(X) for name, X in X_by_set.items()}
+    mats = {name: np.asarray(X, dtype=np.float64) for name, X in X_by_set.items()}
     if len(mats) > 1:
-        parts = list(mats.values())
-        if any(_issparse(m) for m in parts):
-            import scipy.sparse
-
-            mats["union"] = scipy.sparse.hstack(parts, format="csr")
-        else:
-            mats["union"] = np.hstack(parts)
+        mats["union"] = np.hstack(list(mats.values()))
     fit = (trials, test_frac, l2_lambda, iterations)
     return AdvantageReport(
-        sets={name: _trial_set(X, y, (split_seed,), *fit) for name, X in mats.items()},
+        sets={name: _trial_set(X, y, (split_seed,), *fit, center=center)
+              for name, X in mats.items()},
         trials=trials, n_traces=len(y),
     )
 
@@ -517,9 +509,9 @@ def advantage_reports(dataset, feature_sets=None, *, seq: bool = False,
     (under ``"seq"``, when ``seq`` is set) from one walk over the dataset,
     so each trace is loaded and parsed once.
 
-    ``jobs`` worker processes load and featurize the traces of an
-    on-disk dataset; the fits run here, and the reports do not depend
-    on ``jobs``.
+    Up to ``jobs`` worker processes load and featurize the traces of an
+    on-disk dataset (see :func:`_walk`); the fits run here, and the
+    reports do not depend on ``jobs``.
     """
     from .features import FeatureParams, ngram_hash_matrix
 
@@ -540,7 +532,8 @@ def advantage_reports(dataset, feature_sets=None, *, seq: bool = False,
         reports["advantage"] = advantage_from_matrices(X_by_set, labels, **fit)
     if seq:
         reports["seq"] = advantage_from_matrices(
-            {"seq": ngram_hash_matrix([tokens for _, _, tokens in rows])}, labels, **fit)
+            {"seq": ngram_hash_matrix([tokens for _, _, tokens in rows])}, labels,
+            center=False, **fit)
     return reports
 
 
@@ -565,7 +558,7 @@ def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
     Stands in for a recurrent sequence classifier: the trace is tokenized,
     its n-grams (n <= 3) are hash-bucketed into 2**15 counts by
     :func:`~leaklab.features.ngram_hash_matrix`, and a logistic regression
-    is trained on those counts.  Captures local ordering that the
+    is trained on those counts, scaled but not centered.  Captures local ordering that the
     handcrafted count features discard.
     """
     return advantage_reports(

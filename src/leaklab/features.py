@@ -304,22 +304,30 @@ def tokenize(trace: Trace, vocab_size: int = DEFAULT_VOCAB,
 _FNV = np.uint64(1099511628211)
 
 
+class _Counts(np.ndarray):
+    """A count matrix with ``nnz``, its number of nonzero entries, which the
+    benchmark's layer trace reads (``benchmarks/layers.py``)."""
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self))
+
+
 def ngram_hash_matrix(sequences, max_ngram: int = 3, dim: int = 2 ** 15):
-    """Bag of hashed n-grams (n = 1..max_ngram) as a CSR count matrix.
+    """Bag of hashed n-grams (n = 1..max_ngram) as a dense float64 count
+    matrix, one row per sequence.
 
-    Bucketing uses a fixed polynomial hash, so the embedding is
-    deterministic across runs and platforms.
+    Bucketing uses a fixed polynomial hash into ``dim`` buckets, so the
+    embedding is deterministic across runs and platforms.  Only the
+    buckets that some sequence uses get a column, in bucket order, so
+    sequences that are compared must be hashed in one call.
     """
-    import scipy.sparse  # heavy to import; no other feature needs it
-
     if max_ngram < 1:
         raise ValueError("max_ngram must be >= 1")
-    indptr = [0]
-    indices: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    rows = []  # (buckets used, their counts) per sequence
     for seq in sequences:
         t = np.asarray(seq, dtype=np.uint64)
-        buckets = []
+        buckets = [np.empty(0, dtype=np.int64)]
         with np.errstate(over="ignore"):
             h = t.copy()
             for n in range(1, max_ngram + 1):
@@ -328,17 +336,11 @@ def ngram_hash_matrix(sequences, max_ngram: int = 3, dim: int = 2 ** 15):
                     buckets.append(((h * _FNV + np.uint64(n)) % np.uint64(dim)).astype(np.int64))
                 if n < max_ngram:
                     h = h[:-1] * _FNV + t[n:]
-        if buckets:
-            counts = np.bincount(np.concatenate(buckets), minlength=dim)
-            nz = np.flatnonzero(counts)
-            indices.append(nz)
-            data.append(counts[nz].astype(np.float64))
-            indptr.append(indptr[-1] + len(nz))
-        else:
-            indptr.append(indptr[-1])
-    if not indices:
-        return scipy.sparse.csr_matrix((len(indptr) - 1, dim))
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-        shape=(len(indptr) - 1, dim),
-    )
+        counts = np.bincount(np.concatenate(buckets), minlength=dim)
+        nz = np.flatnonzero(counts)
+        rows.append((nz, counts[nz]))
+    used = np.unique(np.concatenate([nz for nz, _ in rows] or [np.empty(0, dtype=np.int64)]))
+    M = np.zeros((len(rows), len(used)))
+    for i, (nz, counts) in enumerate(rows):
+        M[i, np.searchsorted(used, nz)] = counts
+    return M.view(_Counts)

@@ -13,7 +13,10 @@ seeded ``(split_seed, 101, trial)`` with the identity split seeded
 only the columns that are nonzero on some standardized training row: it
 optimises every column.  Its default solver, :func:`scipy_lbfgsb`, is
 scipy's L-BFGS-B with the stopping rule of ``analysis._lbfgs``, which
-replaced it.
+replaced it.  It still takes a scipy CSR matrix, as the n-gram model's
+fit once did: scaled by the column root mean square, not centered, and
+multiplied through scipy's sparse kernels.  ``center=False`` is that
+rule on a dense matrix, as ``train_logreg`` applies it.
 """
 
 import numpy as np
@@ -24,8 +27,6 @@ from leaklab.analysis import (
     FingerprintReport,
     LogRegModel,
     SetResult,
-    _standardization,
-    _standardize,
     stratified_split,
     train_logreg,
 )
@@ -36,6 +37,29 @@ def _as_matrix(X):
     if scipy.sparse.issparse(X):
         return scipy.sparse.csr_matrix(X, dtype=np.float64)
     return np.asarray(X, dtype=np.float64)
+
+
+def _standardization(X, center):
+    if scipy.sparse.issparse(X):
+        # column scaling only: centering would densify the matrix, and
+        # hashed-count features are near-centered anyway
+        m = np.zeros(X.shape[1])
+        sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
+        s = np.sqrt(sq)
+    elif center:
+        m = X.mean(axis=0)
+        s = X.std(axis=0)
+    else:
+        m = np.zeros(X.shape[1])
+        s = np.sqrt((X * X * (1.0 / X.shape[0])).sum(axis=0))
+    s = np.where(s > 0, s, 1.0)
+    return m, s
+
+
+def _standardize(X, mean, scale, center):
+    if scipy.sparse.issparse(X):
+        return X.multiply(1.0 / scale).tocsr()
+    return (X - mean) / scale if center else X * (1.0 / scale)
 
 
 def scipy_lbfgsb(fun, x0, iterations: int, callback):
@@ -54,15 +78,14 @@ def scipy_lbfgsb(fun, x0, iterations: int, callback):
 
 
 def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000,
-                        solver=scipy_lbfgsb) -> LogRegModel:
+                        solver=scipy_lbfgsb, center: bool = True) -> LogRegModel:
     X = _as_matrix(X)
+    sparse = scipy.sparse.issparse(X)
+    center = center and not sparse
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, d) with one label per row")
-    if scipy.sparse.issparse(X):
-        if not np.all(np.isfinite(X.data)):
-            raise ValueError("features must be finite")
-    elif not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(X.data if sparse else X)):
         raise ValueError("features must be finite")
     classes = np.unique(y)
     k = len(classes)
@@ -71,8 +94,8 @@ def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000,
     if l2_lambda < 0:
         raise ValueError("l2_lambda must be non-negative")
 
-    mean, scale = _standardization(X)
-    Xs = _standardize(X, mean, scale)
+    mean, scale = _standardization(X, center)
+    Xs = _standardize(X, mean, scale, center)
     n, d = Xs.shape
 
     if k == 2:
@@ -125,29 +148,26 @@ def oracle_train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000,
     return LogRegModel(
         classes=classes, weights=weights, bias=bias, mean=mean, scale=scale,
         l2_lambda=l2_lambda, loss_history=history, grad_norm=grad_norm,
-        converged=converged,
+        converged=converged, center=center,
     )
 
 
 def oracle_advantage_from_matrices(X_by_set: dict, y, *, trials: int = 5,
                                    test_frac: float = 0.2, l2_lambda: float = 1.0,
                                    iterations: int = 1000, split_seed: int = 0,
-                                   include_union: bool = True) -> AdvantageReport:
+                                   include_union: bool = True,
+                                   center: bool = True) -> AdvantageReport:
     y = np.asarray(y)
-    mats = {name: _as_matrix(X) for name, X in X_by_set.items()}
+    mats = {name: np.asarray(X, dtype=np.float64) for name, X in X_by_set.items()}
     if include_union and len(mats) > 1:
-        parts = [mats[name] for name in X_by_set]
-        if any(scipy.sparse.issparse(m) for m in parts):
-            mats["union"] = scipy.sparse.hstack(parts, format="csr")
-        else:
-            mats["union"] = np.hstack(parts)
+        mats["union"] = np.hstack([mats[name] for name in X_by_set])
     accs: dict[str, list[float]] = {name: [] for name in mats}
     for trial in range(trials):
         rng = np.random.default_rng([split_seed, trial])
         tr, te = stratified_split(y, test_frac, rng)
         for name, X in mats.items():
             model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda,
-                                 iterations=iterations)
+                                 iterations=iterations, center=center)
             accs[name].append(model.accuracy(X[te], y[te]))
     n = len(y)
     return AdvantageReport(

@@ -4,11 +4,16 @@ Used as a differential oracle: same contract as
 ``leaklab.features.extract_features`` but written from the documented
 behavior with plain loops, integer arithmetic, and bisect-based
 histogramming.  Any divergence on a fuzzed trace is a bug in one side.
+
+``oracle_ngram_hash_matrix`` is ``leaklab.features.ngram_hash_matrix`` as
+it was when it returned a scipy CSR matrix over all ``dim`` buckets; the
+dense matrix must equal its nonzero columns.
 """
 
 from bisect import bisect_right
 
 import numpy as np
+import scipy.sparse
 
 from leaklab.trace import (
     CiphertextDiff,
@@ -125,3 +130,40 @@ def oracle_extract(trace, sets, n_bins=10, m_cf=64, m_da=64):
         else:
             raise ValueError(name)
     return np.array(out, dtype=np.float64)
+
+
+_FNV = np.uint64(1099511628211)
+
+
+def oracle_ngram_hash_matrix(sequences, max_ngram: int = 3, dim: int = 2 ** 15):
+    """Bag of hashed n-grams (n = 1..max_ngram) as a CSR count matrix."""
+    if max_ngram < 1:
+        raise ValueError("max_ngram must be >= 1")
+    indptr = [0]
+    indices: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+    for seq in sequences:
+        t = np.asarray(seq, dtype=np.uint64)
+        buckets = []
+        with np.errstate(over="ignore"):
+            h = t.copy()
+            for n in range(1, max_ngram + 1):
+                if len(h):
+                    # mix in n so unigram/bigram spaces do not alias
+                    buckets.append(((h * _FNV + np.uint64(n)) % np.uint64(dim)).astype(np.int64))
+                if n < max_ngram:
+                    h = h[:-1] * _FNV + t[n:]
+        if buckets:
+            counts = np.bincount(np.concatenate(buckets), minlength=dim)
+            nz = np.flatnonzero(counts)
+            indices.append(nz)
+            data.append(counts[nz].astype(np.float64))
+            indptr.append(indptr[-1] + len(nz))
+        else:
+            indptr.append(indptr[-1])
+    if not indices:
+        return scipy.sparse.csr_matrix((len(indptr) - 1, dim))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
+        shape=(len(indptr) - 1, dim),
+    )

@@ -30,6 +30,7 @@ from leaklab.features import (
 )
 from leaklab.games import GameConfig, run_distinguishing_game, run_fingerprinting_game
 
+from oracle_features import oracle_ngram_hash_matrix
 from oracle_analysis import (
     oracle_advantage_from_matrices,
     oracle_fingerprint_advantage,
@@ -108,12 +109,14 @@ def test_logreg_multinomial(rng):
 
 
 def test_logreg_sparse_matches_dense(rng):
+    # mostly-zero features, fitted with and without centering (the rule
+    # for sparse counts)
     X, y = blobs(rng, n=120, d=8)
     X[X < 0.5] = 0.0
     dense = train_logreg(X, y, l2_lambda=0.5)
-    sparse = train_logreg(scipy.sparse.csr_matrix(X), y, l2_lambda=0.5)
+    sparse = train_logreg(X, y, l2_lambda=0.5, center=False)
     Xt = rng.normal(size=(50, 8))
-    # sparse path skips centering, so compare predictions not weights
+    # the sparse rule skips centering, so compare predictions not weights
     agree = np.mean(dense.predict(Xt) == sparse.predict(Xt))
     assert agree > 0.85
 
@@ -236,7 +239,8 @@ def test_evaluate_advantage_matches_oracle(scan_dataset):
 def test_evaluate_seq_advantage_matches_oracle(scan_dataset):
     traces, labels = zip(*scan_dataset.iter_labeled())
     X = ngram_hash_matrix([tokenize(t).tokens for t in traces])
-    want = oracle_advantage_from_matrices({"seq": X}, labels, split_seed=5, **_FIT)
+    want = oracle_advantage_from_matrices({"seq": X}, labels, split_seed=5, center=False,
+                                          **_FIT)
     assert evaluate_seq_advantage(scan_dataset, **_FIT).to_json() == want.to_json()
 
 
@@ -322,12 +326,15 @@ def test_loss_history_equals_reevaluated_loss(rng, monkeypatch, kind):
         X, y = blobs(rng, n=150, d=6, gap=1.5)
     if kind == "sparse":
         X[X < 0.5] = 0.0
-        X = scipy.sparse.csr_matrix(X)
-    model, reevaluated = _fit_with_reevaluated_history(monkeypatch, X, y,
-                                                       l2_lambda=0.1)
+    model, reevaluated = _fit_with_reevaluated_history(monkeypatch, X, y, l2_lambda=0.1,
+                                                       center=kind != "sparse")
     assert len(model.loss_history) > 3
     assert model.loss_history == reevaluated
 
+
+# A "sparse" case fits mostly-zero features by the rule of sparse counts
+# (``center=False``); the oracle gets them as a scipy CSR matrix, except
+# where a test needs the very same arithmetic.
 
 def _fit_data(rng, kind, n=150, d=9):
     if kind == "multinomial":
@@ -343,12 +350,12 @@ _DROPPED = [1, 4, 7]
 
 def _plant_zero_columns(X, sparse):
     """``X`` with its ``_DROPPED`` columns exactly zero once standardized:
-    zero or a constant integer when dense, empty when sparse."""
+    zero or a constant integer when dense, zero when sparse."""
     X = X.copy()
     X[:, _DROPPED] = 0.0
     if sparse:
         X[X < 0.5] = 0.0
-        return scipy.sparse.csr_matrix(X)
+        return X
     X[:, 4] = 3.0
     return X
 
@@ -356,12 +363,12 @@ def _plant_zero_columns(X, sparse):
 @pytest.mark.parametrize("kind", ["binary", "multinomial", "sparse"])
 def test_logreg_without_zero_columns_is_the_full_fit(rng, kind):
     X, y = _fit_data(rng, "multinomial" if kind == "multinomial" else "binary")
-    if kind == "sparse":
+    center = kind != "sparse"
+    if not center:
         X[X < 0.5] = 0.0
-        X = scipy.sparse.csr_matrix(X)
-        assert X.getnnz(axis=0).min() > 0
-    got = train_logreg(X, y, l2_lambda=0.1)
-    want = oracle_train_logreg(X, y, l2_lambda=0.1, solver=analysis._lbfgs)
+        assert X.any(axis=0).all()
+    got = train_logreg(X, y, l2_lambda=0.1, center=center)
+    want = oracle_train_logreg(X, y, l2_lambda=0.1, solver=analysis._lbfgs, center=center)
     assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.bias, want.bias)
     assert got.loss_history == want.loss_history
@@ -379,10 +386,8 @@ def test_logreg_zero_columns_get_zero_weight(rng, kind, sparse):
     X = _plant_zero_columns(X, sparse)
     Xt = rng.normal(size=(60, X.shape[1]))
     Xt[:, _DROPPED] += 5.0
-    if sparse:
-        Xt = scipy.sparse.csr_matrix(Xt)
-    got = train_logreg(X, y, l2_lambda=0.1)
-    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    got = train_logreg(X, y, l2_lambda=0.1, center=not sparse)
+    want = oracle_train_logreg(scipy.sparse.csr_matrix(X) if sparse else X, y, l2_lambda=0.1)
     assert got.weights.shape == want.weights.shape
     assert np.all(got.weights[_DROPPED] == 0.0)
     keep = np.setdiff1d(np.arange(X.shape[1]), _DROPPED)
@@ -398,10 +403,8 @@ def test_logreg_all_zero_matrix_fits_bias_only(rng, k, sparse):
     # a zero-filled feature set: only the class frequencies are left
     y = np.array([0] * 24 + [1] * 10 + [2] * 6)[: 34 if k == 2 else 40]
     X = np.zeros((len(y), 5))
-    if sparse:
-        X = scipy.sparse.csr_matrix(X)
-    got = train_logreg(X, y, l2_lambda=0.1)
-    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    got = train_logreg(X, y, l2_lambda=0.1, center=not sparse)
+    want = oracle_train_logreg(scipy.sparse.csr_matrix(X) if sparse else X, y, l2_lambda=0.1)
     assert got.weights.shape == want.weights.shape
     assert not got.weights.any()
     assert np.max(np.abs(got.bias - want.bias)) <= 1e-6
@@ -423,7 +426,7 @@ def test_solver_sees_only_active_columns(rng, monkeypatch, kind, sparse):
     monkeypatch.setattr(analysis, "_lbfgs", spy)
     X, y = _fit_data(rng, kind)
     X = _plant_zero_columns(X, sparse)
-    train_logreg(X, y, l2_lambda=0.1)
+    train_logreg(X, y, l2_lambda=0.1, center=not sparse)
     active = X.shape[1] - len(_DROPPED)
     terms = 1 if kind == "binary" else 4
     assert sizes == [active * terms + terms]
@@ -442,7 +445,6 @@ def _solver_case(rng, kind, n):
     X, y = _fit_data(rng, kind if kind == "multinomial" else "binary", n=n)
     if kind == "sparse":
         X[X < 0.5] = 0.0
-        X = scipy.sparse.csr_matrix(X)
     return X, y
 
 
@@ -450,8 +452,9 @@ def _solver_case(rng, kind, n):
 def test_solver_matches_scipy_lbfgsb(rng, kind):
     X, y = _solver_case(rng, kind, 241)
     Xt, _ = _solver_case(rng, kind, 241)
-    got = train_logreg(X, y, l2_lambda=0.1)
-    want = oracle_train_logreg(X, y, l2_lambda=0.1)
+    sparse = kind == "sparse"
+    got = train_logreg(X, y, l2_lambda=0.1, center=not sparse)
+    want = oracle_train_logreg(scipy.sparse.csr_matrix(X) if sparse else X, y, l2_lambda=0.1)
     assert np.max(np.abs(got.weights - want.weights)) <= 1e-6
     assert np.array_equal(got.predict(Xt), want.predict(Xt))
     assert got.converged and got.grad_norm <= 1e-4
@@ -515,6 +518,23 @@ def test_cli_import_leaves_optimizer_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
+def test_overflowing_scale_is_refused(rng, center):
+    # an informative column of values near 1e200: its squares overflow,
+    # and a scale of inf would make it a zero column
+    n = 100
+    y = rng.integers(0, 2, size=n)
+    X = np.column_stack([rng.normal(size=n), (y + rng.normal(scale=0.1, size=n)) * 1e200,
+                         rng.normal(size=n)])
+    with pytest.raises(ValueError, match=r"feature columns \[1\] overflow"):
+        train_logreg(X, y, center=center)
+    with pytest.raises(ValueError, match=r"feature columns \[1\] overflow"):
+        advantage_from_matrices({"a": X}, y, trials=1, center=center)
+    # at 1e150 the squares are finite and the column carries the signal
+    X[:, 1] *= 1e-50
+    assert train_logreg(X, y, l2_lambda=0.01, center=center).accuracy(X, y) == 1.0
+
+
 # -- one featurization per observation group -----------------------------------
 # Configs whose observations are reusable: their datasets name, per run,
 # the first run with the same secret, and the walk featurizes one trace
@@ -554,16 +574,26 @@ def _reusable_dataset(name, where, tmp_path):
     return ds
 
 
+def _walk_jobs(where, monkeypatch):
+    """Analyze ``jobs`` for a ``_reusable_dataset``: at "jobs2" a pool of
+    two, which these small datasets start only without a size floor."""
+    if where != "jobs2":
+        return 1
+    monkeypatch.setattr(analysis, "_POOL_MIN_BYTES", 0)
+    return 2
+
+
 @pytest.mark.parametrize("where", ["memory", "jobs1", "jobs2"])
-def test_reused_fingerprint_matches_oracle(tmp_path, where):
+def test_reused_fingerprint_matches_oracle(tmp_path, monkeypatch, where):
     ds = _reusable_dataset("fingerprint", where, tmp_path)
     params = FeatureParams(m_cf=16, m_da=32)
     want = oracle_fingerprint_advantage(ds, params=params, **_FIT)
-    assert fingerprint_advantage(ds, params=params, **_FIT).to_json() == want.to_json()
+    got = fingerprint_advantage(ds, params=params, jobs=_walk_jobs(where, monkeypatch), **_FIT)
+    assert got.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("where", ["memory", "jobs1", "jobs2"])
-def test_reused_distinguish_matches_oracle(tmp_path, where):
+def test_reused_distinguish_matches_oracle(tmp_path, monkeypatch, where):
     from leaklab.analysis import advantage_reports
 
     ds = _reusable_dataset("distinguish", where, tmp_path)
@@ -571,11 +601,61 @@ def test_reused_distinguish_matches_oracle(tmp_path, where):
     X_by_set = {name: np.vstack([extract_features(t, [name]).values for t in traces])
                 for name in FEATURE_SET_NAMES}
     seq = ngram_hash_matrix([tokenize(t).tokens for t in traces])
-    got = advantage_reports(ds, FEATURE_SET_NAMES, seq=True, **_FIT)
+    got = advantage_reports(ds, FEATURE_SET_NAMES, seq=True,
+                            jobs=_walk_jobs(where, monkeypatch), **_FIT)
     assert got["advantage"].to_json() == oracle_advantage_from_matrices(
         X_by_set, labels, split_seed=5, **_FIT).to_json()
     assert got["seq"].to_json() == oracle_advantage_from_matrices(
-        {"seq": seq}, labels, split_seed=5, **_FIT).to_json()
+        {"seq": seq}, labels, split_seed=5, center=False, **_FIT).to_json()
+
+
+def test_walk_starts_a_pool_only_for_enough_trace_bytes(tmp_path, monkeypatch):
+    ds = _reusable_dataset("distinguish", "jobs1", tmp_path)
+    size = sum(e.path.stat().st_size for e in ds.heads())
+    assert len(ds.heads()) == 2 and size < analysis._POOL_MIN_BYTES
+    ordered_map, workers = analysis.ordered_map, []
+
+    def spy(job, jobs, *iterables):
+        workers.append(jobs)
+        return ordered_map(job, jobs, *iterables)
+
+    monkeypatch.setattr(analysis, "ordered_map", spy)
+    want = analysis._walk(ds, analysis._Featurize(None, None, seq=True), jobs=1)
+    for floor, pool in [(analysis._POOL_MIN_BYTES, 1), (size + 1, 1), (size, 2), (0, 2)]:
+        monkeypatch.setattr(analysis, "_POOL_MIN_BYTES", floor)
+        workers.clear()
+        assert analysis._walk(ds, analysis._Featurize(None, None, seq=True), jobs=2) == want
+        assert workers == [pool], floor
+
+
+# -- the n-gram model's fit: scaled, not centered -------------------------------
+
+def test_uncentered_fit_matches_the_csr_fit_on_a6_data():
+    # A6's ciphertext dataset: 400 rows of hashed n-gram counts, most of
+    # them nonzero in every bucket in use.  The dense fit over the
+    # buckets in use against the CSR fit over all 2**15 of them
+    ds = run_distinguishing_game(GameConfig.from_json({
+        "game": "distinguish",
+        "workload": {"kind": "pir_scan", "db_size": 1000},
+        "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True},
+        "x0": 137, "x1": 803, "sybil": {"kind": "copies", "value": 0, "count": 9},
+        "traces_per_class": 200, "base_seed": 9600,
+    }))
+    traces, labels = zip(*ds.iter_labeled())
+    tokens = [tokenize(t).tokens for t in traces]
+    X = ngram_hash_matrix(tokens)
+    csr = oracle_ngram_hash_matrix(tokens)
+    used = np.flatnonzero(csr.getnnz(axis=0))
+    assert X.shape == (400, len(used)) and np.array_equal(X, csr[:, used].toarray())
+    y = np.array(labels)
+    tr, te = stratified_split(y, 0.2, np.random.default_rng([9600, 0]))
+    got = train_logreg(X[tr], y[tr], l2_lambda=0.1, center=False)
+    want = oracle_train_logreg(csr[tr], y[tr], l2_lambda=0.1, solver=analysis._lbfgs)
+    assert np.array_equal(got.scale, want.scale[used])
+    assert not np.any(np.delete(want.weights, used))
+    assert np.max(np.abs(got.weights - want.weights[used])) <= 1e-6
+    assert np.array_equal(got.predict(X[te]), want.predict(csr[te].toarray()))
+    assert got.converged and got.grad_norm <= 1e-4
 
 
 @pytest.mark.parametrize("name", list(_REUSABLE))

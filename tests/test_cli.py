@@ -320,6 +320,26 @@ def loop_dataset(tmp_path_factory):
     return out
 
 
+def test_analyze_refuses_a_feature_scale_that_overflows(capsys, loop_dataset, monkeypatch):
+    # features near 1e200 square to inf; a fit that read them as zero
+    # columns would give a normal-looking report
+    from leaklab import features
+
+    real = features.extract_features
+
+    def huge(*args):
+        fv = real(*args)
+        fv.values = fv.values * 1e200
+        return fv
+
+    monkeypatch.setattr(features, "extract_features", huge)
+    capsys.readouterr()
+    code, rep, err = run_cli(capsys, "analyze", "--dataset", str(loop_dataset),
+                             "--sets", "all", "--trials", "2", "--jobs", "1")
+    assert code == EXIT_RUNTIME and rep is None
+    assert "ValueError: feature columns [" in err and "overflow when standardized" in err
+
+
 def test_analyze_feature_sets(capsys, loop_dataset):
     capsys.readouterr()
     code, rep, _ = run_cli(capsys, "analyze", "--dataset", str(loop_dataset),
@@ -561,9 +581,10 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_analyze_loads_scipy_only_for_the_ngram_matrix(tmp_path, loop_dataset, jobs):
-    # the solver is numpy only: scipy.sparse loads for --seq's n-gram
-    # matrix, and scipy.optimize never
+def test_analyze_leaves_scipy_unloaded(tmp_path, loop_dataset, jobs):
+    # the n-gram matrix and the solver are numpy only; at --jobs 2 the
+    # walk's pool runs too (a size floor of 0 lets these small datasets
+    # start one)
     fp = tmp_path / "fp"
     cfg = {**FP_CONFIG, "n_traces": 30, "base_seed": 31,
            "prior": {"kind": "table",
@@ -573,19 +594,44 @@ def test_analyze_loads_scipy_only_for_the_ngram_matrix(tmp_path, loop_dataset, j
                  "--out", str(fp)]) == EXIT_OK
     code = f"""
 import contextlib, io, sys
+import leaklab.analysis
 from leaklab.cli import main
+leaklab.analysis._POOL_MIN_BYTES = 0
 def scipy_after(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["analyze", *argv, "--trials", "2", "--jobs", {jobs!r}]) == 0, argv
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(scipy_after("--dataset", {str(fp)!r}, "--fingerprint"))
 print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all"))
-seq = scipy_after("--dataset", {str(loop_dataset)!r}, "--seq")
-print("scipy.sparse" in seq, "scipy.optimize" in seq)
+print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all", "--seq"))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split("\n") == ["[]", "[]", "True False", ""]
+    assert out.stdout.split("\n") == ["[]", "[]", "[]", ""]
+
+
+def test_simulate_and_analyze_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to
+    # fail, simulate and analyze --seq still run
+    cfg = write_config(tmp_path, LOOP_CONFIG)
+    ds = str(tmp_path / "ds")
+    code = f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from leaklab.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+sim, _ = run("simulate", "--config", {cfg!r}, "--out", {ds!r})
+ana, rep = run("analyze", "--dataset", {ds!r}, "--sets", "all", "--seq", "--trials", "2",
+               "--jobs", "1")
+print(sim, ana, sorted(rep["results"]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0 0 ['advantage', 'n_traces', 'seq']"
 
 
 def test_simulate_counts_observations_of_a_reusable_config(capsys, tmp_path):

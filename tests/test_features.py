@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_features import oracle_extract
+from oracle_features import oracle_extract, oracle_ngram_hash_matrix
 from conftest import random_trace
 from leaklab.features import (
     FEATURE_SET_NAMES,
@@ -213,22 +213,37 @@ def test_tokenize_truncation_keeps_tail():
 def test_ngram_matrix_counts_and_determinism():
     seqs = [[1, 2, 3, 4], [7], []]
     M = ngram_hash_matrix(seqs, max_ngram=3, dim=64)
-    assert M.shape == (3, 64)
+    # one column per bucket in use, each used by some row
+    assert M.shape[0] == 3 and 0 < M.shape[1] <= 64
+    assert M.dtype == np.float64 and M.any(axis=0).all()
     # 4 unigrams + 3 bigrams + 2 trigrams
     assert M[0].sum() == 9
     assert M[1].sum() == 1
     assert M[2].sum() == 0
+    assert M.nnz == np.count_nonzero(M)
     M2 = ngram_hash_matrix(seqs, max_ngram=3, dim=64)
-    assert (M != M2).nnz == 0
+    assert np.array_equal(M, M2)
     with pytest.raises(ValueError):
         ngram_hash_matrix(seqs, max_ngram=0)
 
 
 def test_ngram_matrix_distinguishes_order():
-    a = ngram_hash_matrix([[1, 2, 3]], max_ngram=2, dim=2 ** 15).toarray()
-    b = ngram_hash_matrix([[3, 2, 1]], max_ngram=2, dim=2 ** 15).toarray()
+    # columns are the buckets one call uses, so both rows come from one call
+    a, b = ngram_hash_matrix([[1, 2, 3], [3, 2, 1]], max_ngram=2, dim=2 ** 15)
     assert a.sum() == b.sum() == 5
     assert not np.array_equal(a, b)  # bigrams differ even if unigrams match
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 40), max_size=30), max_size=6),
+       st.integers(1, 3), st.sampled_from([1, 2, 7, 64, 2 ** 15]))
+@example([], 3, 64)
+@example([[], []], 1, 7)
+def test_ngram_matrix_is_the_csr_matrix_without_empty_columns(seqs, max_ngram, dim):
+    want = oracle_ngram_hash_matrix(seqs, max_ngram=max_ngram, dim=dim)
+    want = want.toarray()[:, want.getnnz(axis=0) > 0]
+    got = ngram_hash_matrix(seqs, max_ngram=max_ngram, dim=dim)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # -- placement invariance ------------------------------------------------------

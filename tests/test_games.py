@@ -548,13 +548,16 @@ def test_walk_checks_every_member_file(reused_dataset):
 
 
 @pytest.mark.parametrize("case", ["member-edited", "head-truncated"])
-def test_pooled_walk_fails_like_the_serial_one(reused_dataset, capsys, case):
+def test_pooled_walk_fails_like_the_serial_one(reused_dataset, capsys, monkeypatch, case):
     import multiprocessing
 
+    from leaklab import analysis
     from leaklab.analysis import fingerprint_advantage
     from leaklab.cli import EXIT_RUNTIME, main
     from leaklab.trace import TraceSyntaxError
 
+    # a dataset this small starts a pool only without a size floor
+    monkeypatch.setattr(analysis, "_POOL_MIN_BYTES", 0)
     root, rows, member = reused_dataset
     if case == "member-edited":
         # valid trace text, but not the file written: a member is checked
