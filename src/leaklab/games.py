@@ -26,15 +26,21 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .machine import CollectorPolicy, Observation, Observer, SimMachine, observe, place
 from .pool import ordered_map
 from .schemas import validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
-from .workloads import PRIME_LADDER, HeavyHitters, build_workload, observation_reusable
-from .workloads.phh import Aggregation
+
+# The functions that plan and run games import machine and workloads
+# themselves, so reading a dataset (all that analyze does here) never
+# loads the simulator.
+if TYPE_CHECKING:
+    from .machine import Observation, Observer
+    from .workloads import HeavyHitters
+    from .workloads.phh import Aggregation
 
 __all__ = [
     "GameConfig",
@@ -186,6 +192,8 @@ def build_sybil_inputs(interesting: list[str], fill_stride: int = 2) -> list[str
     table then sits exactly at capacity: one more distinct key (a
     non-member secret) forces a growth pass, a member secret does not.
     """
+    from .workloads import PRIME_LADDER
+
     target = next(p for p in PRIME_LADDER if p >= len(interesting) * (1 + fill_stride))
     n_fillers = target - len(interesting)
     seq: list[str] = []
@@ -407,6 +415,8 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
     Each distinct secret's workload is built (not run), so a config
     whose workload rejects its inputs fails here, before any run.
     """
+    from .workloads import build_workload
+
     sybil = cfg.sybil or {}
     if cfg.game == "distinguish":
         kind = sybil.get("kind")
@@ -475,6 +485,9 @@ class _TraceJob:
     """
 
     def __init__(self, cfg: GameConfig, inputs: list, as_text: bool, repeated: set[str]):
+        from .machine import CollectorPolicy
+        from .workloads import observation_reusable
+
         self.cfg = cfg
         self.inputs = inputs
         self.as_text = as_text
@@ -485,6 +498,9 @@ class _TraceJob:
         self.checkpoint: tuple[Aggregation, Observer] | None = None
 
     def __call__(self, x, run_seed: int):
+        from .machine import SimMachine, observe, place
+        from .workloads import HeavyHitters, build_workload
+
         machine = SimMachine(
             cipher_seed=derive_seed(run_seed, "cipher"),
             alloc_seed=derive_seed(run_seed, "alloc"),
@@ -507,6 +523,8 @@ class _TraceJob:
 
     def _resume(self, workload: HeavyHitters, x) -> Observation:
         """The observation of stage one on the shared inputs, then ``x``."""
+        from .machine import Observer, SimMachine
+
         if self.checkpoint is None:
             agg = workload.begin(SimMachine())
             for key in self.inputs:

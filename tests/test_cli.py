@@ -556,9 +556,13 @@ def test_console_entry_point():
     assert rep["command"] == "bound"
 
 
+# Test dependencies only: no command loads them.
+TEST_ONLY = ("scipy", "jsonschema", "referencing", "attrs")
+
+
 def test_non_fit_commands_leave_scipy_unloaded(tmp_path):
     # simulate (also --dry-run), bound, sweep and covert must run without
-    # loading any scipy module
+    # loading any scipy or jsonschema module
     cfg = write_config(tmp_path, LOOP_CONFIG)
     code = f"""
 import contextlib, io, sys
@@ -572,7 +576,7 @@ runs = [
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] in {TEST_ONLY!r}))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True)
@@ -582,9 +586,10 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_analyze_leaves_scipy_unloaded(tmp_path, loop_dataset, jobs):
-    # the n-gram matrix and the solver are numpy only; at --jobs 2 the
-    # walk's pool runs too (a size floor of 0 lets these small datasets
-    # start one)
+    # the n-gram matrix and the solver are numpy only, the schema checker
+    # is in-module, and reading a dataset needs no simulator; at --jobs 2
+    # the walk's pool runs too (a size floor of 0 lets these small
+    # datasets start one)
     fp = tmp_path / "fp"
     cfg = {**FP_CONFIG, "n_traces": 30, "base_seed": 31,
            "prior": {"kind": "table",
@@ -600,7 +605,8 @@ leaklab.analysis._POOL_MIN_BYTES = 0
 def scipy_after(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["analyze", *argv, "--trials", "2", "--jobs", {jobs!r}]) == 0, argv
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] in {TEST_ONLY!r}
+                  or m.startswith(("leaklab.machine", "leaklab.workloads")))
 print(scipy_after("--dataset", {str(fp)!r}, "--fingerprint"))
 print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all"))
 print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all", "--seq"))
@@ -611,13 +617,13 @@ print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all", "--seq"))
 
 
 def test_simulate_and_analyze_run_without_scipy(tmp_path):
-    # scipy is a test dependency only: with every scipy import made to
-    # fail, simulate and analyze --seq still run
+    # scipy and jsonschema are test dependencies only: with every import
+    # of them made to fail, simulate and analyze --seq still run
     cfg = write_config(tmp_path, LOOP_CONFIG)
     ds = str(tmp_path / "ds")
     code = f"""
 import contextlib, io, json, sys
-sys.modules["scipy"] = None
+sys.modules["scipy"] = sys.modules["jsonschema"] = None
 from leaklab.cli import main
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()) as out:
