@@ -117,6 +117,15 @@ def _standardize(X, mean, scale, center: bool):
     return (X - mean) / scale if center else X * (1.0 / scale)
 
 
+def _classes(y: np.ndarray) -> np.ndarray:
+    """The distinct labels in ``y``, ascending, as ``np.unique(y)`` gives
+    them for labels that are not NaN; ``np.unique`` would load ``numpy.ma``."""
+    s = np.sort(y, axis=None)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 # _lbfgs stops at max|g| <= _GTOL or at a relative loss decrease <= _FTOL;
 # a fit whose final gradient norm is above _FIT_TOLERANCE did not converge
 _GTOL = 1e-9
@@ -223,7 +232,7 @@ def train_logreg(X, y, l2_lambda: float = 1.0, iterations: int = 1000,
         raise ValueError("X must be (n, d) with one label per row")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
-    classes = np.unique(y)
+    classes = _classes(y)
     k = len(classes)
     if k < 2:
         raise ValueError("training data must contain at least two classes")
@@ -307,7 +316,7 @@ def stratified_split(y, test_frac: float, rng: np.random.Generator):
     if not 0.0 < test_frac < 1.0:
         raise ValueError("test_frac must be in (0, 1)")
     train, test = [], []
-    for cls in np.unique(y):
+    for cls in _classes(y):
         idx = np.flatnonzero(y == cls)
         idx = rng.permutation(idx)
         n = len(idx)

@@ -125,7 +125,7 @@ def _cmd_simulate(args) -> int:
         cfg_obj["base_seed"] = int(seed)
     try:
         cfg = GameConfig.from_json(cfg_obj)
-        _, runs, _ = _plan(cfg)
+        plan = _plan(cfg)
     except (ValueError, TypeError, KeyError) as e:
         raise _config_error(f"bad game config: {e}") from e
     try:
@@ -137,7 +137,7 @@ def _cmd_simulate(args) -> int:
               "jobs": args.jobs, "dry_run": bool(args.dry_run)}
     if args.dry_run:
         _emit_report(args, command="simulate", params=params,
-                     results={"planned_traces": len(runs), "game": cfg.game,
+                     results={"planned_traces": len(plan[1]), "game": cfg.game,
                               "workload": cfg.workload.get("kind"),
                               "channels": sorted(cfg.policy.get("channels", []))},
                      config_hash=cfg.config_hash(), seed=cfg.base_seed)
@@ -145,7 +145,7 @@ def _cmd_simulate(args) -> int:
 
     runner = (run_distinguishing_game if cfg.game == "distinguish"
               else run_fingerprinting_game)
-    ds = runner(cfg, out_dir=args.out, jobs=args.jobs)
+    ds = runner(cfg, out_dir=args.out, jobs=args.jobs, plan=plan)
     results = {"n_traces": len(ds), "out_dir": str(args.out),
                "game": cfg.game}
     groups = {e.obs for e in ds.entries if e.obs is not None}

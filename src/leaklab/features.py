@@ -339,7 +339,10 @@ def ngram_hash_matrix(sequences, max_ngram: int = 3, dim: int = 2 ** 15):
         counts = np.bincount(np.concatenate(buckets), minlength=dim)
         nz = np.flatnonzero(counts)
         rows.append((nz, counts[nz]))
-    used = np.unique(np.concatenate([nz for nz, _ in rows] or [np.empty(0, dtype=np.int64)]))
+    # the buckets some row uses, ascending (np.unique would load numpy.ma)
+    used = np.flatnonzero(np.bincount(
+        np.concatenate([nz for nz, _ in rows] or [np.empty(0, dtype=np.int64)]),
+        minlength=dim))
     M = np.zeros((len(rows), len(used)))
     for i, (nz, counts) in enumerate(rows):
         M[i, np.searchsorted(used, nz)] = counts

@@ -28,16 +28,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .pool import ordered_map
 from .schemas import validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
 
 # The functions that plan and run games import machine and workloads
 # themselves, so reading a dataset (all that analyze does here) never
-# loads the simulator.
+# loads the simulator.  numpy is imported only where a prior is built or
+# sampled, so planning a distinguishing game never loads it.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .machine import Observation, Observer
     from .workloads import HeavyHitters
     from .workloads.phh import Aggregation
@@ -83,6 +84,8 @@ class PriorDistribution:
             raise ValueError("support and probs length mismatch")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support must be distinct")
+        import numpy as np
+
         p = np.asarray(self.probs, dtype=np.float64)
         if (p < 0).any() or not np.isfinite(p).all() or p.sum() <= 0:
             raise ValueError("probabilities must be finite, non-negative, not all zero")
@@ -112,7 +115,7 @@ class PriorDistribution:
         return float(sum(p for e, p in zip(self.support, self.probs) if e in wanted))
 
     def sample(self, rng: np.random.Generator):
-        return self.support[int(rng.choice(len(self.support), p=np.asarray(self.probs)))]
+        return self.support[int(rng.choice(len(self.support), p=self.probs))]
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +435,8 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
                 for i in range(2 * cfg.traces_per_class)]
         meta = {"labels": "binary"}
     else:
+        import numpy as np
+
         prior_cfg = cfg.prior or {}
         kind = prior_cfg.get("kind", "power_law")
         if kind == "power_law":
@@ -546,8 +551,11 @@ def _check_out_dir(root: Path) -> None:
         raise ValueError(f"output directory exists and is not empty: {root}")
 
 
-def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
+def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDataset:
     """Run the config's plan and store the traces in order.
+
+    ``plan`` is ``_plan(cfg)`` if the caller has made it already, else
+    None.
 
     The runs map one job through :func:`~leaklab.pool.ordered_map`:
     serial runs call it here, a pool gives each worker its own copy.
@@ -564,7 +572,7 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
     """
     if jobs > 1 and out_dir is None:
         raise ValueError("parallel generation requires an output directory")
-    inputs, runs, game_meta = _plan(cfg)
+    inputs, runs, game_meta = plan if plan is not None else _plan(cfg)
     root = Path(out_dir) if out_dir is not None else None
     if root is not None:
         _check_out_dir(root)
@@ -617,16 +625,16 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress) -> LabeledDataset:
 
 
 def run_distinguishing_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
-                            progress=None) -> LabeledDataset:
+                            progress=None, plan=None) -> LabeledDataset:
     """Generate the two-secret dataset: label i%2 picks x0 or x1."""
     if cfg.game != "distinguish":
         raise ValueError("config is not a distinguishing game")
-    return _generate(cfg, out_dir, jobs, progress)
+    return _generate(cfg, out_dir, jobs, progress, plan)
 
 
 def run_fingerprinting_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
-                            progress=None) -> LabeledDataset:
+                            progress=None, plan=None) -> LabeledDataset:
     """Generate the sampled-secret dataset with (membership, identity) labels."""
     if cfg.game != "fingerprint":
         raise ValueError("config is not a fingerprinting game")
-    return _generate(cfg, out_dir, jobs, progress)
+    return _generate(cfg, out_dir, jobs, progress, plan)

@@ -183,15 +183,21 @@ class SimMachine:
                 f"write out of bounds: page {gpn:#x} offset {offset} "
                 f"length {len(data)}"
             )
-        first_b = offset >> 4
-        last_b = end - 1 >> 4
-        olds = [bytes(mem[b << 4:(b << 4) + BLOCK_BYTES])
-                for b in range(first_b, last_b + 1)]
+        # one copy of the touched blocks before the write and one after;
+        # each block's old and new bytes are cut from those
+        lo = offset & -BLOCK_BYTES
+        hi = end + BLOCK_BYTES - 1 & -BLOCK_BYTES
+        old = bytes(mem[lo:hi])
         mem[offset:end] = data
-        tap = self.tap
-        for b, old in zip(range(first_b, last_b + 1), olds):
-            new = bytes(mem[b << 4:(b << 4) + BLOCK_BYTES])
-            tap.append((WRITE, gpn, b >> 2, b, old, new))
+        new = bytes(mem[lo:hi])
+        b = lo >> 4
+        if hi - lo == BLOCK_BYTES:
+            self.tap.append((WRITE, gpn, b >> 2, b, old, new))
+            return
+        append = self.tap.append
+        for i in range(0, hi - lo, BLOCK_BYTES):
+            append((WRITE, gpn, b >> 2, b, old[i:i + BLOCK_BYTES], new[i:i + BLOCK_BYTES]))
+            b += 1
 
     def branch(self, taken: bool, is_return: bool = False) -> None:
         self.tap.append((BRANCH, taken, is_return))

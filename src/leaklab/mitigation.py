@@ -17,8 +17,10 @@ The clamp at zero is what costs the delta term.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "dummy_shift",
@@ -80,6 +82,8 @@ def _padded_pmf(eps: float, delta: float, true_count: int, support_hi: int) -> n
     the vector is a true (not truncated-at-the-bottom) distribution up to
     the negligible upper tail beyond ``support_hi``.
     """
+    import numpy as np
+
     a = dummy_shift(eps, delta)
     alpha = math.exp(-eps)
     norm = (1.0 - alpha) / (1.0 + alpha)
@@ -107,6 +111,8 @@ def verify_dummy_dp(eps: float, delta: float,
     verified is the same pair.  Pass ``claim_eps``/``claim_delta`` to
     verify a weaker claim against the same sampler.
     """
+    import numpy as np
+
     if claim_eps is None:
         claim_eps = eps
     if claim_delta is None:

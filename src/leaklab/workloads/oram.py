@@ -18,8 +18,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 
-import numpy as np
-
 from ..machine import SimMachine
 
 Z = 4  # slots per bucket
@@ -39,6 +37,8 @@ class PathOram:
                  height: int | None = None):
         if num_blocks < 1:
             raise ValueError("need at least one block")
+        import numpy as np
+
         self.m = machine
         self.flaw = bool(zero_block_flaw)
         self.rng = np.random.default_rng([int(seed) & (2**63 - 1), 0x08A3])
@@ -92,6 +92,8 @@ class PathOram:
         seal.  With the flaw, a zero payload is stored raw and draws
         nothing.
         """
+        import numpy as np
+
         zero = b"\x00" * _PAYLOAD
         drawn = [not (self.flaw and p == zero) for p in payloads]
         nonces = self.rng.integers(0, 256, size=(sum(drawn), _NONCE),

@@ -19,8 +19,6 @@ import copy
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..machine import SimMachine
 from ..mitigation import noise_entry, sample_dummy_count, threshold_value
 from .hashmap import SimHashMap
@@ -125,6 +123,8 @@ class HeavyHitters:
 
     def release(self, agg: Aggregation) -> PhhResult:
         """Padding, then stage two, on a closed stage one."""
+        import numpy as np
+
         m, hmap, vector = agg.m, agg.hmap, agg.vector
         rng = np.random.default_rng([self.seed & (2**63 - 1), 0x9E37])
 
@@ -194,6 +194,8 @@ class SyntheticLoop:
         self.seed = int(seed)
 
     def __call__(self, m: SimMachine) -> int:
+        import numpy as np
+
         rng = np.random.default_rng([self.seed & (2**63 - 1), 0x51D0])
         code_a = m.alloc_page()
         code_b = m.alloc_page()

@@ -1,4 +1,5 @@
-"""The one-pass collector, kept as a differential oracle.
+"""The one-pass collector and the per-block machine write, kept as
+differential oracles.
 
 This is ``leaklab.machine.collect`` as it was before collection split
 into a layout- and key-free observation and its placement: it encrypts
@@ -8,6 +9,11 @@ event through its validating constructor and the trace through
 ``Trace.__post_init__``.  ``collect`` must give an equal ``Trace`` for
 every tap and policy, and a game run must give the trace this collector
 gives on a fresh machine for that run.
+
+:func:`oracle_write` is ``SimMachine.write`` as it was before it copied
+the touched blocks once before and once after the write: it slices the
+page per block, twice.  ``SimMachine.write`` must leave the same page
+bytes and tap, and fail with the same exception, for every write.
 """
 
 import hashlib
@@ -17,11 +23,13 @@ from leaklab.machine import (
     BRANCH,
     EXEC,
     MARK,
+    PAGE_BYTES,
     READ,
     STEP,
     WRITE,
     CollectorError,
     CollectorPolicy,
+    MachineFault,
     SimMachine,
 )
 from leaklab.trace import (
@@ -46,6 +54,29 @@ def ciphertext_of(machine: SimMachine, gpn: int, block: int, plaintext: bytes) -
         raise ValueError(f"plaintext must be {BLOCK_BYTES} bytes")
     msg = gpn.to_bytes(5, "little") + block.to_bytes(2, "little") + plaintext
     return hashlib.blake2b(msg, digest_size=BLOCK_BYTES, key=machine._key).digest()
+
+
+def oracle_write(machine: SimMachine, gpn: int, offset: int, data: bytes) -> None:
+    """Write ``data`` at ``offset`` of page ``gpn``; one WRITE tap entry
+    per touched 16-byte block, with its bytes before and after."""
+    mem = machine.pages.get(gpn)
+    if mem is None:
+        raise MachineFault(f"write of unallocated page {gpn:#x}")
+    end = offset + len(data)
+    if offset < 0 or not data or end > PAGE_BYTES:
+        raise MachineFault(
+            f"write out of bounds: page {gpn:#x} offset {offset} "
+            f"length {len(data)}"
+        )
+    first_b = offset >> 4
+    last_b = end - 1 >> 4
+    olds = [bytes(mem[b << 4:(b << 4) + BLOCK_BYTES])
+            for b in range(first_b, last_b + 1)]
+    mem[offset:end] = data
+    tap = machine.tap
+    for b, old in zip(range(first_b, last_b + 1), olds):
+        new = bytes(mem[b << 4:(b << 4) + BLOCK_BYTES])
+        tap.append((WRITE, gpn, b >> 2, b, old, new))
 
 
 class _PageWindow:

@@ -152,6 +152,18 @@ def test_stratified_split_exact(rng):
     assert 40 in tr
 
 
+@pytest.mark.parametrize("y", [
+    [], [3], [1, 0, 1, 1, 0], [5, -2, 5, 7, -2, 0], [0.5, -1.0, 0.5, 2.25],
+    ["b", "a", "c", "a"], [[2, 1], [1, 2]], [True, False, True],
+], ids=["empty", "one", "binary", "ints", "floats", "strings", "2d", "bools"])
+def test_classes_are_np_unique(y):
+    # train_logreg and stratified_split take their classes from _classes,
+    # which must give np.unique's values and dtype (np.unique loads numpy.ma)
+    y = np.asarray(y)
+    got, want = analysis._classes(y), np.unique(y)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_stratified_split_two_each_min():
     rng = np.random.default_rng(0)
     y = np.array([0, 0, 1, 1])

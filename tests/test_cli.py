@@ -120,6 +120,24 @@ def test_simulate_writes_dataset(capsys, tmp_path):
     assert len(list((out / "traces").iterdir())) == 4
 
 
+def test_simulate_plans_once(capsys, tmp_path, monkeypatch):
+    # the plan that checks the config before any output is the one run
+    import leaklab.games as games
+
+    calls = []
+    plan = games._plan
+
+    def counted(cfg):
+        calls.append(cfg)
+        return plan(cfg)
+
+    monkeypatch.setattr(games, "_plan", counted)
+    cfg = write_config(tmp_path, LOOP_CONFIG)
+    code, rep, _ = run_cli(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "ds"))
+    assert code == EXIT_OK and rep["results"]["n_traces"] == 4
+    assert len(calls) == 1
+
+
 def test_simulate_seed_precedence(capsys, tmp_path, monkeypatch):
     cfg = write_config(tmp_path, LOOP_CONFIG)
 
@@ -586,8 +604,9 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in {TEST_ONLY!r}))
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_analyze_leaves_scipy_unloaded(tmp_path, loop_dataset, jobs):
-    # the n-gram matrix and the solver are numpy only, the schema checker
-    # is in-module, and reading a dataset needs no simulator; at --jobs 2
+    # the n-gram matrix and the solver are numpy only (and never call
+    # np.unique, which loads numpy.ma), the schema checker is in-module,
+    # and reading a dataset needs no simulator; at --jobs 2
     # the walk's pool runs too (a size floor of 0 lets these small
     # datasets start one)
     fp = tmp_path / "fp"
@@ -606,7 +625,8 @@ def scipy_after(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["analyze", *argv, "--trials", "2", "--jobs", {jobs!r}]) == 0, argv
     return sorted(m for m in sys.modules if m.split(".")[0] in {TEST_ONLY!r}
-                  or m.startswith(("leaklab.machine", "leaklab.workloads")))
+                  or m.startswith(("leaklab.machine", "leaklab.workloads"))
+                  or m.split(".")[:2] == ["numpy", "ma"])
 print(scipy_after("--dataset", {str(fp)!r}, "--fingerprint"))
 print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all"))
 print(scipy_after("--dataset", {str(loop_dataset)!r}, "--sets", "all", "--seq"))
@@ -638,6 +658,67 @@ print(sim, ana, sorted(rep["results"]))
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "0 0 ['advantage', 'n_traces', 'seq']"
+
+
+# Workload kinds that take no run seed: their configs never draw from numpy.
+SEEDLESS_CONFIGS = {
+    "pir_scan": {"game": "distinguish", "workload": {"kind": "pir_scan", "db_size": 64},
+                 "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True},
+                 "x0": 3, "x1": 40, "sybil": {"kind": "copies", "value": 0, "count": 2},
+                 "traces_per_class": 3, "base_seed": 11},
+    "pir_hashmap": {"game": "distinguish", "workload": {"kind": "pir_hashmap", "db_size": 40},
+                    "policy": {"channels": ["page", "cache", "cipher", "pmc"],
+                               "targeted": True},
+                    "x0": "record-00003", "x1": "missing",
+                    "sybil": {"kind": "copies", "value": "record-00001", "count": 2},
+                    "traces_per_class": 3, "base_seed": 12},
+}
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDLESS_CONFIGS))
+def test_seedless_simulate_runs_without_numpy(capsys, tmp_path, kind):
+    # with every import of numpy made to fail, simulate (also --dry-run)
+    # on a seedless config still runs, and writes the dataset that a
+    # process with numpy writes
+    cfg = write_config(tmp_path, SEEDLESS_CONFIGS[kind])
+    bare = tmp_path / "bare"
+    code = f"""
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from leaklab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["simulate", "--config", {cfg!r}, "--out", {str(bare)!r}, *extra])
+             for extra in (["--dry-run"], [])]
+print(codes)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0]"
+    code, _, _ = run_cli(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "normal"))
+    assert code == EXIT_OK
+    assert _files(bare) == _files(tmp_path / "normal")
+    assert len(_files(bare)) == 2 + 6
+
+
+def test_covert_runs_without_numpy():
+    code = """
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from leaklab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["covert", "--text", "hi"])
+print(code)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
 
 
 def test_simulate_counts_observations_of_a_reusable_config(capsys, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from leaklab.machine import (
+    PAGE_BYTES,
     CollectorPolicy,
     CollectorError,
     MachineFault,
@@ -27,7 +28,7 @@ from leaklab.trace import (
 )
 
 from conftest import assert_sound_records
-from oracle_collect import ciphertext_of, oracle_collect
+from oracle_collect import ciphertext_of, oracle_collect, oracle_write
 
 
 def only(events, cls):
@@ -56,6 +57,72 @@ def test_machine_faults():
         m.write(p, 0, b"")
     with pytest.raises(MachineFault):
         m.exec_page(p + 1)
+
+
+_WRITE_CASES = ("random", "one_byte", "whole_page", "unaligned_ends", "same_bytes",
+                "unallocated", "out_of_bounds", "empty")
+
+
+def _fuzzed_write(rng, case: str, m: SimMachine, pages: list[int]):
+    """``(gpn, offset, data)`` of one write of the given case on ``m``."""
+    gpn = pages[int(rng.integers(0, len(pages)))]
+    off = int(rng.integers(0, PAGE_BYTES))
+    n = int(rng.integers(1, min(200, PAGE_BYTES - off) + 1))
+    if case == "one_byte":
+        n = 1
+    elif case == "whole_page":
+        off, n = 0, PAGE_BYTES
+    elif case == "unaligned_ends":
+        # neither end on a block boundary, two to twelve blocks touched
+        first = int(rng.integers(0, 244))
+        last = first + int(rng.integers(1, 12))
+        off = 16 * first + int(rng.integers(1, 16))
+        n = 16 * last + int(rng.integers(1, 16)) - off
+    elif case == "unallocated":
+        gpn = max(m.pages) + 1
+    elif case == "out_of_bounds":
+        if rng.random() < 0.5:
+            off = -int(rng.integers(1, 32))
+        else:
+            off = PAGE_BYTES - n + int(rng.integers(1, 32))
+    if case == "same_bytes":
+        data = bytes(m.pages[gpn][off:off + n])
+    elif case == "empty":
+        data = b""
+    else:
+        # few distinct byte values, so some blocks keep their bytes
+        data = bytes(rng.integers(0, 3, size=n, dtype=np.uint8))
+    return gpn, off, data
+
+
+def _outcome(write, *args):
+    try:
+        write(*args)
+    except Exception as e:  # noqa: BLE001 - compared with the oracle's
+        return type(e), str(e)
+    return None
+
+
+def test_write_matches_oracle_on_fuzzed_writes(rng):
+    # one copy of the touched blocks before the write and one after give
+    # the per-block oracle's tap, page bytes and faults
+    seen = set()
+    for _ in range(150):
+        m = SimMachine(alloc_seed=int(rng.integers(0, 1 << 32)))
+        pages = m.alloc_pages(2)
+        for gpn in pages:
+            m.pages[gpn][:] = bytes(rng.integers(0, 3, size=PAGE_BYTES, dtype=np.uint8))
+        ref = m.copy()
+        for _ in range(20):
+            case = _WRITE_CASES[int(rng.integers(0, len(_WRITE_CASES)))]
+            gpn, off, data = _fuzzed_write(rng, case, m, pages)
+            got = _outcome(m.write, gpn, off, data)
+            assert got == _outcome(oracle_write, ref, gpn, off, data), case
+            seen.add((case, got is None))
+        assert m.tap == ref.tap and m.pages == ref.pages
+        assert all(type(ev[4]) is bytes and type(ev[5]) is bytes for ev in m.tap)
+    faults = {"unallocated", "out_of_bounds", "empty"}
+    assert seen == {(case, case not in faults) for case in _WRITE_CASES}
 
 
 def test_ciphertext_is_deterministic_per_address():
