@@ -460,7 +460,6 @@ def _walk(dataset, featurize, jobs: int = 1) -> tuple[list, list]:
     if (any(e.trace is not None for e in heads)
             or sum(e.path.stat().st_size for e in heads if e.path.is_file()) < _POOL_MIN_BYTES):
         jobs = 1
-    jobs = min(jobs, len(heads))
     with ordered_map(functools.partial(_featurize_entry, featurize), jobs, heads) as values:
         rows = dataset.spread(values)
     return rows, [e.label for e in dataset.entries]

@@ -466,11 +466,20 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
     return inputs, runs, meta
 
 
+def _trace_file(idx: int) -> str:
+    """Run ``idx``'s trace file, relative to the dataset directory."""
+    return f"traces/trace_{idx:05d}.txt"
+
+
 class _TraceJob:
-    """One game round per call: the trace text when ``as_text``, else the Trace.
+    """One game round per call.
 
     Each round builds its run's machine, simulates the workload and
-    observes it there, and places the observation on that machine.  A
+    observes it there, and places the observation on that machine.  With
+    a ``stage`` directory the round writes its trace file there, the
+    text written straight from the observation (see ``write_trace``), and
+    returns the sha256 of the file's bytes; without one it returns the
+    placed Trace.  A
     run whose observation depends on its inputs alone (see
     ``observation_reusable``) is observed once per distinct secret, and
     its pages are placed per run.  The job keeps the observations of the
@@ -489,21 +498,21 @@ class _TraceJob:
     page numbers and key irrelevant.
     """
 
-    def __init__(self, cfg: GameConfig, inputs: list, as_text: bool, repeated: set[str]):
+    def __init__(self, cfg: GameConfig, inputs: list, stage: Path | None, repeated: set[str]):
         from .machine import CollectorPolicy
         from .workloads import observation_reusable
 
         self.cfg = cfg
         self.inputs = inputs
-        self.as_text = as_text
+        self.stage = stage
         self.policy = CollectorPolicy.from_json(cfg.policy)
         self.reusable = observation_reusable(cfg.workload, self.policy)
         self.repeated = repeated
         self.observations: dict[str, Observation] = {}
         self.checkpoint: tuple[Aggregation, Observer] | None = None
 
-    def __call__(self, x, run_seed: int):
-        from .machine import SimMachine, observe, place
+    def __call__(self, idx: int, x, run_seed: int):
+        from .machine import Placement, SimMachine, observe, place
         from .workloads import HeavyHitters, build_workload
 
         machine = SimMachine(
@@ -523,8 +532,11 @@ class _TraceJob:
                               derive_seed(run_seed, "noise"))
             if self.reusable and key in self.repeated:
                 self.observations[key] = obs
-        trace = place(obs, machine, run_seed)
-        return write_trace(trace) if self.as_text else trace
+        if self.stage is None:
+            return place(obs, machine, run_seed)
+        data = write_trace(obs.trace(run_seed), Placement(obs, machine)).encode()
+        (self.stage / _trace_file(idx)).write_bytes(data)
+        return hashlib.sha256(data).hexdigest()
 
     def _resume(self, workload: HeavyHitters, x) -> Observation:
         """The observation of stage one on the shared inputs, then ``x``."""
@@ -559,16 +571,18 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDat
 
     The runs map one job through :func:`~leaklab.pool.ordered_map`:
     serial runs call it here, a pool gives each worker its own copy.
-    On-disk runs store the job's trace text under ``out_dir``, in-memory
-    runs keep its Trace.  When the config's observations are reusable,
-    each entry's ``obs`` is the index of the first run of its secret,
-    and each manifest row also carries ``obs`` and the ``sha256`` of its
-    trace file; other configs write neither.
+    For on-disk runs the job writes each trace file into the staging
+    directory, and this process writes the manifest rows in run order;
+    in-memory runs keep the job's Trace.  When the config's observations
+    are reusable, each entry's ``obs`` is the index of the first run of
+    its secret, and each manifest row also carries ``obs`` and the
+    ``sha256`` of its trace file; other configs write neither.
 
     ``out_dir`` must be new or empty.  The dataset is written into a
     fresh sibling directory, which replaces ``out_dir`` once
-    ``dataset.json`` is written and is removed if the run fails, so
-    ``out_dir`` ends up holding a whole dataset or is left as it was.
+    ``dataset.json`` is written and is removed if the run fails, after
+    the pool's workers have stopped, so ``out_dir`` ends up holding a
+    whole dataset or is left as it was.
     """
     if jobs > 1 and out_dir is None:
         raise ValueError("parallel generation requires an output directory")
@@ -579,17 +593,11 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDat
     meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(runs),
             "game": cfg.game, "base_seed": cfg.base_seed, **game_meta}
     uses = collections.Counter(repr(x) for x, _, _ in runs)
-    job = _TraceJob(cfg, inputs, root is not None, {k for k, n in uses.items() if n > 1})
+    repeated = {k for k, n in uses.items() if n > 1}
     xs, labels, seeds = zip(*runs)
-    if job.reusable:
-        # the runs of one secret place one observation: their group is
-        # the first of them in plan order
-        first: dict[str, int] = {}
-        groups = [first.setdefault(repr(x), idx) for idx, x in enumerate(xs)]
-    else:
-        groups = [None] * len(runs)
     entries: list[DatasetEntry] = []
     with contextlib.ExitStack() as stack:
+        stage = None
         if root is not None:
             root.parent.mkdir(parents=True, exist_ok=True)
             stage = Path(tempfile.mkdtemp(prefix=f".{root.name}.", dir=root.parent))
@@ -597,18 +605,25 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDat
             stack.callback(shutil.rmtree, stage, ignore_errors=True)
             (stage / "traces").mkdir()
             manifest = stack.enter_context(open(stage / "manifest.jsonl", "w"))
-        results = stack.enter_context(ordered_map(job, jobs, xs, seeds, chunksize=4))
+        job = _TraceJob(cfg, inputs, stage, repeated)
+        if job.reusable:
+            # the runs of one secret place one observation: their group is
+            # the first of them in plan order
+            first: dict[str, int] = {}
+            groups = [first.setdefault(repr(x), idx) for idx, x in enumerate(xs)]
+        else:
+            groups = [None] * len(runs)
+        results = stack.enter_context(
+            ordered_map(job, jobs, range(len(runs)), xs, seeds, chunksize=4))
         for idx, (label, seed, obs, result) in enumerate(zip(labels, seeds, groups, results)):
             if root is None:
                 entries.append(DatasetEntry(seed=seed, label=label, trace=result, obs=obs))
             else:
-                rel = f"traces/trace_{idx:05d}.txt"
-                data = result.encode()
-                (stage / rel).write_bytes(data)
+                rel = _trace_file(idx)
                 row = {"path": rel, "game": cfg.game, "seed": seed,
                        "label": list(label) if isinstance(label, tuple) else label}
                 if obs is not None:
-                    row.update(obs=obs, sha256=hashlib.sha256(data).hexdigest())
+                    row.update(obs=obs, sha256=result)
                 entries.append(DatasetEntry(seed=seed, label=label, path=root / rel,
                                             obs=obs, sha256=row.get("sha256")))
                 manifest.write(json.dumps(row, sort_keys=True) + "\n")

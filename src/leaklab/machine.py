@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from .trace import (
     BLOCK_BYTES,
+    BLOCKS_PER_PAGE,
     CodeFetch,
     CiphertextDiff,
     CounterSnapshot,
@@ -59,6 +60,7 @@ __all__ = [
     "Observation",
     "Observer",
     "observe",
+    "Placement",
     "place",
     "collect",
     "run_collect",
@@ -79,6 +81,9 @@ STEP = 5    # (STEP,)
 # The collector makes only in-range fields, so it builds trace records
 # without their checks.
 _tuple_new = tuple.__new__
+
+# a ciphertext's 2 block-index bytes, by block
+_BLOCK_TWEAKS = tuple(b.to_bytes(2, "little") for b in range(BLOCKS_PER_PAGE))
 
 
 class MachineFault(RuntimeError):
@@ -304,6 +309,10 @@ class Observation:
     num_code_pages: int
     pages: tuple[int, ...]
 
+    def trace(self, seed: int) -> Trace:
+        """The observation's events as they are, as a trace with SEED ``seed``."""
+        return _tuple_new(Trace, (seed, self.channels, self.events, self.num_code_pages))
+
 
 class Observer:
     """The collector state machine, fed a raw tap in slices.
@@ -524,41 +533,65 @@ def observe(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
     return observer.finish(machine)
 
 
+class Placement:
+    """Where one run puts an observation: its page map and its cipher.
+
+    ``pages`` maps the observation's k-th page to ``machine.layout(n)[k]``,
+    the page number of ``machine``'s k-th allocation.  Memory encryption
+    is keyed per run: a block's ciphertext at its placed address is the
+    16-byte keyed blake2b digest, under ``machine``'s key, of the page
+    (5 bytes) and block (2 bytes, both little-endian) followed by the
+    plaintext, so the same plaintext at the same address always encrypts
+    identically while any change gives an unrelated block.  The keyed
+    hash state of each run page, already fed its page bytes, is made
+    once here and copied per block.
+    """
+
+    __slots__ = ("pages", "_keyed")
+
+    def __init__(self, obs: Observation, machine: SimMachine):
+        self.pages = dict(zip(obs.pages, machine.layout(len(obs.pages))))
+        key = hashlib.blake2b(digest_size=BLOCK_BYTES, key=machine._key)
+        self._keyed = {}
+        for old, new in self.pages.items():
+            h = self._keyed[old] = key.copy()
+            h.update(new.to_bytes(5, "little"))
+
+    def ciphers(self, gpn: int, block: int, before: bytes, after: bytes):
+        """The hash states whose digests are the ciphertexts of a diff's
+        two plaintexts, at the run's page for observation page ``gpn``."""
+        page = self._keyed[gpn]
+        tweak = _BLOCK_TWEAKS[block]
+        h1 = page.copy()
+        h1.update(tweak + before)
+        h2 = page.copy()
+        h2.update(tweak + after)
+        return h1, h2
+
+
 def place(obs: Observation, machine: SimMachine, trace_seed: int) -> Trace:
     """The trace an observation gives on one run's machine.
 
-    The observation's k-th page becomes ``machine.layout(n)[k]``, the
-    page number of ``machine``'s k-th allocation.  Events whose page
-    keeps its number pass through untouched, so placing on the observing
-    machine returns its code fetches, data accesses and counters as they
-    are.  Each ciphertext diff block is encrypted at its placed address:
-    the 16-byte keyed blake2b digest, under ``machine``'s key, of the
-    page (5 bytes) and block (2 bytes, both little-endian) followed by
-    the plaintext, so the same plaintext at the same address always
-    encrypts identically while any change gives an unrelated block.  The
-    keyed hash state is made once and copied per block.
+    Pages are renamed and ciphertext diff blocks encrypted as in
+    :class:`Placement`.  Events whose page keeps its number pass through
+    untouched, so placing on the observing machine returns its code
+    fetches, data accesses and counters as they are.
+    ``write_trace(obs.trace(seed), Placement(obs, machine))`` writes the
+    text of this trace without building it.
     """
-    moved = {old: new for old, new in zip(obs.pages, machine.layout(len(obs.pages)))
-             if old != new}
-    keyed = hashlib.blake2b(digest_size=BLOCK_BYTES, key=machine._key)
-
-    def encrypt(tweak: bytes, plaintext: bytes) -> bytes:
-        h = keyed.copy()
-        h.update(tweak + plaintext)
-        return h.digest()
-
+    placement = Placement(obs, machine)
+    pages = placement.pages
+    ciphers = placement.ciphers
     events: list = []
     append = events.append
     for ev in obs.events:
         cls = type(ev)
         if cls is CiphertextDiff:
-            gpn = moved.get(ev.gpn, ev.gpn)
-            tweak = gpn.to_bytes(5, "little") + ev.block.to_bytes(2, "little")
-            ev = _tuple_new(cls, (gpn, ev.block, encrypt(tweak, ev.before),
-                                  encrypt(tweak, ev.after)))
-        elif moved and (cls is DataAccess or cls is CodeFetch):
-            gpn = moved.get(ev.gpn)
-            if gpn is not None:
+            before, after = ciphers(*ev)
+            ev = _tuple_new(cls, (pages[ev.gpn], ev.block, before.digest(), after.digest()))
+        elif cls is DataAccess or cls is CodeFetch:
+            gpn = pages[ev.gpn]
+            if gpn != ev.gpn:
                 ev = _tuple_new(cls, (gpn, *ev[1:]))
         append(ev)
     return _tuple_new(Trace, (trace_seed, obs.channels, tuple(events), obs.num_code_pages))

@@ -234,46 +234,65 @@ def windowed_events(trace: Trace) -> list[TraceEvent]:
     return out if marked else list(trace.events)
 
 
-def write_trace(trace: Trace) -> str:
+def write_trace(trace: Trace, placement=None) -> str:
     """Render a trace in canonical text form.
 
     Header lines come in SEED/NUM/CHANNELS order; the CHANNELS line is
     omitted when no channel is recorded.  Cache-line lists are ascending
     (``-`` for an empty set), hex is lowercase without an 0x prefix.
+
+    With a ``placement`` (a :class:`leaklab.machine.Placement` of an
+    observation on a run's machine), ``trace`` is that observation's
+    events under the run's seed (``Observation.trace``), and each line is
+    written as the run's trace has it: pages renamed and ciphertext diff
+    blocks encrypted.  The text equals ``write_trace(place(obs, machine,
+    seed))``; the placed events are never built.
     """
     lines = [f"SEED {trace.seed}", f"NUM {trace.num_code_pages}"]
     if trace.channels:
         chans = ",".join(c for c in CHANNEL_ORDER if c in trace.channels)
         lines.append(f"CHANNELS {chans}")
     append = lines.append
-    # cache-line lists and counter lines repeat often (a phh trace has
-    # 2,026 MA lines over 469 line sets and 5,362 PN lines over 39
-    # values), so each distinct one is rendered once per call
+    pages = placement.pages if placement is not None else {}
+    # events other than ciphertext diffs repeat often (a phh trace has
+    # 5,362 PN lines over 39 values and 3,336 CF lines), so each distinct
+    # one is rendered once per call.  Events of different kinds never
+    # compare equal: their field counts or field types differ.
+    rendered: dict[TraceEvent, str] = {}
     cache_lines: dict[frozenset[int], str] = {}
-    counters: dict[tuple[int, ...], str] = {}
+    ci_heads: dict[int, str] = {}  # page -> "CI <placed page> BK "
     for ev in trace.events:
-        cls = type(ev)
-        if cls is CiphertextDiff:
-            append(f"CI {ev.gpn:x} BK {ev.block} {ev.before.hex()} {ev.after.hex()}")
-        elif cls is CounterSnapshot:
-            line = counters.get(ev.values)
-            if line is None:
-                line = counters[ev.values] = "PN " + " ".join(map(str, ev.values))
-            append(line)
-        elif cls is DataAccess:
-            if ev.lines is None:
-                append(f"MA {ev.gpn:x}")
+        if type(ev) is CiphertextDiff:
+            head = ci_heads.get(ev.gpn)
+            if head is None:
+                head = ci_heads[ev.gpn] = f"CI {pages.get(ev.gpn, ev.gpn):x} BK "
+            if placement is None:
+                before, after = ev.before.hex(), ev.after.hex()
             else:
-                cl = cache_lines.get(ev.lines)
-                if cl is None:
-                    cl = cache_lines[ev.lines] = ",".join(map(str, sorted(ev.lines))) or "-"
-                append(f"MA {ev.gpn:x} CL {cl}")
-        elif cls is CodeFetch:
-            append(f"CF {ev.gpn:x}")
-        elif cls is Marker:
-            append(f"MARK {ev.kind}")
-        else:  # pragma: no cover - event union is closed
-            raise TraceError(f"unknown event type: {ev!r}")
+                before, after = placement.ciphers(*ev)
+                before, after = before.hexdigest(), after.hexdigest()
+            append(f"{head}{ev.block} {before} {after}")
+            continue
+        line = rendered.get(ev)
+        if line is None:
+            cls = type(ev)
+            if cls is CounterSnapshot:
+                line = "PN " + " ".join(map(str, ev.values))
+            elif cls is DataAccess:
+                line = f"MA {pages.get(ev.gpn, ev.gpn):x}"
+                if ev.lines is not None:
+                    cl = cache_lines.get(ev.lines)
+                    if cl is None:
+                        cl = cache_lines[ev.lines] = ",".join(map(str, sorted(ev.lines))) or "-"
+                    line += " CL " + cl
+            elif cls is CodeFetch:
+                line = f"CF {pages.get(ev.gpn, ev.gpn):x}"
+            elif cls is Marker:
+                line = f"MARK {ev.kind}"
+            else:  # pragma: no cover - event union is closed
+                raise TraceError(f"unknown event type: {ev!r}")
+            rendered[ev] = line
+        append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -76,6 +76,16 @@ OUT_OF_RANGE = {
 }
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, naming the first line that differs (rendering a
+    diff of two large traces would take minutes)."""
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]),
+                 min(len(a), len(b)))
+        pytest.fail(f"texts differ at line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
+
+
 def assert_sound_records(trace: Trace) -> None:
     """The trace and each distinct event behave as immutable validated records.
 

@@ -282,11 +282,11 @@ def test_run_that_fails_midway_leaves_no_out(capsys, tmp_path, monkeypatch):
     calls = []
     real = games._TraceJob.__call__
 
-    def fail_third(job, x, run_seed):
+    def fail_third(job, idx, x, run_seed):
         calls.append(x)
         if len(calls) == 3:
             raise RuntimeError("injected failure")
-        return real(job, x, run_seed)
+        return real(job, idx, x, run_seed)
 
     monkeypatch.setattr(games._TraceJob, "__call__", fail_third)
     cfg = write_config(tmp_path, LOOP_CONFIG)
@@ -294,6 +294,36 @@ def test_run_that_fails_midway_leaves_no_out(capsys, tmp_path, monkeypatch):
                              "--out", str(tmp_path / "ds"))
     assert code == EXIT_RUNTIME and rep is None and "injected failure" in err
     assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_pool_run_that_fails_midway_leaves_no_out(capsys, tmp_path, monkeypatch):
+    # pool workers write their own trace files into the staging directory:
+    # one raises once another worker's file is there, and the run leaves
+    # neither --out nor the staging directory
+    import time
+
+    from leaklab import games
+
+    real = games._TraceJob.__call__
+
+    def fail_late(job, idx, x, run_seed):
+        if idx == 8:  # the third chunk of four runs
+            first = job.stage / games._trace_file(0)
+            deadline = time.monotonic() + 60
+            while not first.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            written = len(list((job.stage / "traces").iterdir()))
+            raise RuntimeError(f"injected failure after {written} files")
+        return real(job, idx, x, run_seed)
+
+    monkeypatch.setattr(games._TraceJob, "__call__", fail_late)
+    cfg = write_config(tmp_path, {**LOOP_CONFIG, "traces_per_class": 6})
+    code, rep, err = run_cli(capsys, "simulate", "--config", cfg,
+                             "--out", str(tmp_path / "ds"), "--jobs", "2")
+    assert code == EXIT_RUNTIME and rep is None
+    written = int(err.split("injected failure after ")[1].split()[0])
+    assert written >= 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -19,7 +19,7 @@ from leaklab.games import (
     run_distinguishing_game,
     run_fingerprinting_game,
 )
-from leaklab.machine import CollectorPolicy, SimMachine
+from leaklab.machine import CollectorPolicy, Placement, SimMachine, observe, place
 from leaklab.schemas import SchemaError
 from leaklab.trace import write_trace
 from leaklab.workloads import (
@@ -33,6 +33,7 @@ from leaklab.workloads import (
 )
 from leaklab.workloads.phh import Aggregation
 
+from conftest import assert_same_text
 from oracle_collect import oracle_collect
 
 LOOP_CFG = dict(
@@ -351,6 +352,38 @@ def _sybil_inputs(sybil):
     return list(sybil.get("values", []))
 
 
+PLACED_POLICIES = {
+    "targeted": FULL_POLICY,
+    "untargeted": {**FULL_POLICY, "targeted": False},
+    "noisy": {**FULL_POLICY, "cache_noise": {"drop_prob": 0.3, "flip_prob": 0.2}},
+    # bare MA lines
+    "page-pmc": {"channels": ["page", "pmc"], "targeted": True},
+    # every cache-line set dropped: CL -
+    "no-lines": {"channels": ["page", "cache", "cipher"], "targeted": False,
+                 "cache_noise": {"drop_prob": 1.0}},
+    "cipher-pmc": {"channels": ["cipher", "pmc"], "targeted": True},
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PLACED_POLICIES))
+@pytest.mark.parametrize("kind", sorted(KIND_CFGS))
+def test_placed_writer_matches_place(kind, policy):
+    cfg = KIND_CFGS[kind]
+    observing = SimMachine(cipher_seed=1, alloc_seed=2)
+    build_workload(cfg["workload"], _sybil_inputs(cfg.get("sybil", {})) + [cfg["x1"]],
+                   3)(observing)
+    obs = observe(observing, observing.tap,
+                  CollectorPolicy.from_json(PLACED_POLICIES[policy]), 4)
+    for run in (observing, SimMachine(cipher_seed=5, alloc_seed=6)):
+        text = write_trace(obs.trace(7), Placement(obs, run))
+        assert_same_text(text, write_trace(place(obs, run, 7)))
+    lines = text.splitlines()
+    if policy == "page-pmc":
+        assert all(len(ln.split()) == 2 for ln in lines if ln.startswith("MA "))
+    if policy == "no-lines":
+        assert all(ln.endswith(" CL -") for ln in lines if ln.startswith("MA "))
+
+
 def _oracle_traces(cfg):
     """Each run on a fresh machine, collected by the one-pass collector."""
     inputs = _sybil_inputs(cfg.sybil)
@@ -438,9 +471,9 @@ def recorded_jobs(monkeypatch):
             self.secrets = []
             jobs.append(self)
 
-        def __call__(self, x, run_seed):
+        def __call__(self, idx, x, run_seed):
             self.secrets.append(x)
-            return super().__call__(x, run_seed)
+            return super().__call__(idx, x, run_seed)
 
     monkeypatch.setattr(games, "_TraceJob", Recorded)
     return jobs

@@ -44,6 +44,21 @@ CASES = {
         "n_traces": 24, "base_seed": 5,
     }, ("--fingerprint", "--trials", "3", "--m-cf", "8", "--m-da", "16",
         "--l2-lambda", "0.1")),
+    # a targeted aggregate window with a prior of repeated and single-run
+    # secrets: runs resume the phh checkpoint and reuse observations, and
+    # at --jobs 2 pool workers write the trace files
+    "phh-aggregate-fingerprint": ({
+        "game": "fingerprint",
+        "workload": {"kind": "phh", "eps": 1.0, "delta": 1e-6,
+                     "mitigated": False, "marked_stage": "aggregate"},
+        "policy": {"channels": FULL, "targeted": True},
+        "prior": {"kind": "table", "table": {
+            "a.io": 4, "b.dev": 3, "c.de": 1, "d.fr": 1, "e.jp": 1,
+            "f.com": 4, "g.org": 1, "h.net": 1, "i.com": 1}},
+        "interest": {"kind": "list", "values": ["a.io", "b.dev", "c.de", "d.fr", "e.jp"]},
+        "n_traces": 24, "base_seed": 15,
+    }, ("--fingerprint", "--trials", "3", "--m-cf", "8", "--m-da", "16",
+        "--l2-lambda", "0.1")),
     "phh-aggregate-mitigated": ({
         "game": "distinguish",
         "workload": {"kind": "phh", "eps": 1.0, "delta": 1e-6,

@@ -11,6 +11,7 @@ from leaklab.machine import (
     CollectorError,
     MachineFault,
     Observer,
+    Placement,
     SimMachine,
     collect,
     observe,
@@ -27,7 +28,7 @@ from leaklab.trace import (
     write_trace,
 )
 
-from conftest import assert_sound_records
+from conftest import assert_same_text, assert_sound_records
 from oracle_collect import ciphertext_of, oracle_collect, oracle_write
 
 
@@ -550,6 +551,25 @@ def test_collect_matches_oracle_on_fuzzed_taps(rng):
         obs = observe(other, other.tap, policy, noise_seed)
         assert obs.pages == tuple(other.pages) and len(obs.pages) == len(m.pages)
         assert place(obs, m, seed) == expected
+
+
+def test_placed_writer_matches_place_on_fuzzed_runs(rng):
+    # the text written straight from an observation equals the text of
+    # its placed trace, on the observing machine and on another one
+    bare = empty = ci = 0
+    for _ in range(300):
+        workload, m, policy, noise_seed, seed = _fuzzed_run(rng)
+        observing = SimMachine(cipher_seed=m.cipher_seed + 1, alloc_seed=m.alloc_seed + 1)
+        workload(observing)
+        obs = observe(observing, observing.tap, policy, noise_seed)
+        for run in (m, observing):
+            text = write_trace(obs.trace(seed), Placement(obs, run))
+            assert_same_text(text, write_trace(place(obs, run, seed)))
+        for line in text.splitlines():
+            bare += line.startswith("MA ") and " CL " not in line
+            empty += line.endswith(" CL -")
+            ci += line.startswith("CI ")
+    assert bare and empty and ci
 
 
 def _stray_tap(rng, m):
