@@ -8,6 +8,8 @@ page channel cannot miss.  Which interest-set element it was is read off
 the fault pattern of the victim's counter update.
 """
 
+import tempfile
+
 from leaklab.analysis import fingerprint_advantage
 from leaklab.features import FeatureParams
 from leaklab.games import GameConfig, run_fingerprinting_game
@@ -24,10 +26,11 @@ def main() -> None:
         "base_seed": 99,
     })
     print(f"sampling {cfg.n_traces} victim submissions from the bundled prior")
-    ds = run_fingerprinting_game(cfg)
-    rep = fingerprint_advantage(ds, params=FeatureParams(m_cf=16, m_da=160),
-                                trials=3, test_frac=0.2, l2_lambda=0.1,
-                                iterations=500)
+    with tempfile.TemporaryDirectory() as out:
+        ds = run_fingerprinting_game(cfg, out)
+        rep = fingerprint_advantage(ds, params=FeatureParams(m_cf=16, m_da=160),
+                                    trials=3, test_frac=0.2, l2_lambda=0.1,
+                                    iterations=500)
     print(f"membership: advantage {rep.membership.normalized_mean:.3f} "
           f"(blind baseline {rep.s_c:.3f})")
     print(f"identity:   mean accuracy "

@@ -8,6 +8,7 @@ optimum of the padding noise, which sits just under the analytic bound.
 """
 
 import math
+import tempfile
 
 import numpy as np
 
@@ -32,9 +33,10 @@ def measure(mitigated: bool, eps: float, delta: float) -> tuple[float, float]:
         "workload": {"kind": "phh", "eps": eps, "delta": delta,
                      "mitigated": mitigated, "marked_stage": "noise_threshold"},
     })
-    ds = run_distinguishing_game(cfg)
-    rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
-                             l2_lambda=0.1, iterations=1000)
+    with tempfile.TemporaryDirectory() as out:
+        ds = run_distinguishing_game(cfg, out)
+        rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
+                                 l2_lambda=0.1, iterations=1000)
     per = [2 * (a - 0.5) for a in rep.sets["F1"].accuracies]
     # trials re-split one dataset, so floor the error at one split's
     # binomial noise instead of pretending 5 independent measurements

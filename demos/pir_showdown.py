@@ -8,6 +8,8 @@ oblivious store randomizes its access pattern instead; its weakness is a
 data-dependent shortcut that skips re-encrypting all-zero blocks.
 """
 
+import tempfile
+
 from leaklab.analysis import evaluate_advantage, evaluate_seq_advantage
 from leaklab.games import GameConfig, run_distinguishing_game
 from leaklab.machine import CollectorPolicy, SimMachine, run_collect
@@ -40,9 +42,10 @@ def scan_cipher_advantage() -> float:
         "traces_per_class": 40,
         "base_seed": 3,
     })
-    ds = run_distinguishing_game(cfg)
-    rep = evaluate_seq_advantage(ds, trials=3, test_frac=0.2,
-                                 l2_lambda=0.1, iterations=1000)
+    with tempfile.TemporaryDirectory() as out:
+        ds = run_distinguishing_game(cfg, out)
+        rep = evaluate_seq_advantage(ds, trials=3, test_frac=0.2,
+                                     l2_lambda=0.1, iterations=1000)
     return rep.sets["seq"].normalized_mean
 
 
@@ -58,9 +61,10 @@ def oram_advantage(flaw: bool) -> float:
         "traces_per_class": 150,
         "base_seed": 5,
     })
-    ds = run_distinguishing_game(cfg)
-    rep = evaluate_advantage(ds, ["F3"], trials=5, test_frac=0.2,
-                             l2_lambda=0.1, iterations=1000)
+    with tempfile.TemporaryDirectory() as out:
+        ds = run_distinguishing_game(cfg, out)
+        rep = evaluate_advantage(ds, ["F3"], trials=5, test_frac=0.2,
+                                 l2_lambda=0.1, iterations=1000)
     return rep.sets["F3"].normalized_mean
 
 

@@ -447,18 +447,16 @@ def _walk(dataset, featurize, jobs: int = 1) -> tuple[list, list]:
     only through equality and order of first appearance, and a
     ciphertext diff only through its page and block.
 
-    The walk runs in this process unless ``jobs`` is above 1, the traces
-    are on disk and the group heads' files hold at least
-    ``_POOL_MIN_BYTES``.  Then a pool of at most one worker per group
-    head loads and featurizes the heads, while this process reads and
-    checks the other members' files; the values are still taken in
-    dataset order, so they do not depend on ``jobs``.  ``featurize``
-    must then pickle.
+    The walk runs in this process unless ``jobs`` is above 1 and the
+    group heads' files hold at least ``_POOL_MIN_BYTES``.  Then a pool of
+    at most one worker per group head loads and featurizes the heads,
+    while this process reads and checks the other members' files; the
+    values are still taken in dataset order, so they do not depend on
+    ``jobs``.  ``featurize`` must then pickle.
     """
     heads = dataset.heads()
     # a missing file is left for the walk to report
-    if (any(e.trace is not None for e in heads)
-            or sum(e.path.stat().st_size for e in heads if e.path.is_file()) < _POOL_MIN_BYTES):
+    if sum(e.path.stat().st_size for e in heads if e.path.is_file()) < _POOL_MIN_BYTES:
         jobs = 1
     with ordered_map(functools.partial(_featurize_entry, featurize), jobs, heads) as values:
         rows = dataset.spread(values)
@@ -472,11 +470,17 @@ def _trial_set(X, y, seed: tuple, trials: int, test_frac: float, l2_lambda: floa
 
     Trial ``t`` splits with a generator seeded ``(*seed, t)``, so reports
     are reproducible and every matrix measured under one seed sees the
-    same splits.  ``center`` is as in :func:`train_logreg`.
+    same splits.  ``center`` is as in :func:`train_logreg`.  A split with
+    no test example, which :func:`stratified_split` makes when no class
+    has two examples, raises ``ValueError``.
     """
     accs, grad_norm = [], 0.0
     for trial in range(trials):
         tr, te = stratified_split(y, test_frac, np.random.default_rng([*seed, trial]))
+        if not len(te):
+            raise ValueError(f"trial {trial}: the test split is empty, so its accuracy "
+                             f"would be NaN: no class has more than one of the "
+                             f"{len(y)} traces")
         model = train_logreg(X[tr], y[tr], l2_lambda=l2_lambda, iterations=iterations,
                              center=center)
         accs.append(model.accuracy(X[te], y[te]))
@@ -517,9 +521,9 @@ def advantage_reports(dataset, feature_sets=None, *, seq: bool = False,
     (under ``"seq"``, when ``seq`` is set) from one walk over the dataset,
     so each trace is loaded and parsed once.
 
-    Up to ``jobs`` worker processes load and featurize the traces of an
-    on-disk dataset (see :func:`_walk`); the fits run here, and the
-    reports do not depend on ``jobs``.
+    Up to ``jobs`` worker processes load and featurize the dataset's
+    traces (see :func:`_walk`); the fits run here, and the reports do not
+    depend on ``jobs``.
     """
     from .features import FeatureParams, ngram_hash_matrix
 

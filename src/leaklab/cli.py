@@ -146,12 +146,9 @@ def _cmd_simulate(args) -> int:
     runner = (run_distinguishing_game if cfg.game == "distinguish"
               else run_fingerprinting_game)
     ds = runner(cfg, out_dir=args.out, jobs=args.jobs, plan=plan)
-    results = {"n_traces": len(ds), "out_dir": str(args.out),
-               "game": cfg.game}
-    groups = {e.obs for e in ds.entries if e.obs is not None}
-    if groups:
-        # a reusable config: the distinct observations its runs placed
-        results["observations"] = len(groups)
+    # observations: the distinct observations the runs placed
+    results = {"n_traces": len(ds), "out_dir": str(args.out), "game": cfg.game,
+               "observations": len({e.obs for e in ds.entries})}
     for key in ("s_c", "s_f"):
         if key in ds.metadata:
             results[key] = ds.metadata[key]

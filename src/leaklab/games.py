@@ -268,18 +268,18 @@ class GameConfig:
 
 @dataclass
 class DatasetEntry:
-    """One run: its seed and label, and its trace in memory or on disk.
+    """One run: its seed, its label and its trace file.
 
     ``obs`` is the dataset index of the first run with the same
     observation, so entries with equal ``obs`` give equal features (see
     ``_generate``); None when unknown.  ``sha256`` is the hex digest of
-    the trace file's bytes, and every read of the file checks it.
+    the trace file's bytes, and every read of the file checks it; None
+    only in a manifest written without it.
     """
 
     seed: int
     label: object
-    trace: Trace | None = None
-    path: Path | None = None
+    path: Path
     obs: int | None = None
     sha256: str | None = None
 
@@ -294,8 +294,6 @@ class DatasetEntry:
         return data.decode()
 
     def load(self) -> Trace:
-        if self.trace is not None:
-            return self.trace
         return parse_trace(self.read_text())
 
 
@@ -317,16 +315,15 @@ def _check_groups(entries: list[DatasetEntry]) -> None:
 
 
 class LabeledDataset:
-    """Streamable labeled trace collection, in memory or on disk."""
+    """Streamable labeled trace collection, one trace file per entry."""
 
     def __init__(self, game: str, base_seed: int, entries: list[DatasetEntry],
-                 metadata: dict | None = None, root: Path | None = None):
+                 metadata: dict | None = None):
         _check_groups(entries)
         self.game = game
         self.base_seed = base_seed
         self.entries = entries
         self.metadata = metadata or {}
-        self.root = root
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -347,15 +344,14 @@ class LabeledDataset:
 
         A group's first entry takes the next of ``head_values`` (which
         follow :meth:`heads`); the others take their group's value, after
-        their file, if any, is read and checked against its ``sha256``.
+        their file is read and checked against its ``sha256``.
         """
         values = []
         for i, e in enumerate(self.entries):
             if e.obs in (None, i):
                 values.append(next(head_values))
                 continue
-            if e.trace is None:
-                e.read_text()
+            e.read_text()
             values.append(values[e.obs])
         return values
 
@@ -395,8 +391,7 @@ class LabeledDataset:
             raise ValueError(f"{root}: manifest has {len(entries)} rows, "
                              f"dataset.json says n={meta['n']}")
         try:
-            return cls(meta["game"], meta["base_seed"], entries,
-                       metadata=meta, root=root)
+            return cls(meta["game"], meta["base_seed"], entries, metadata=meta)
         except ValueError as e:
             raise ValueError(f"{root}: manifest {e}") from None
 
@@ -415,10 +410,14 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
     ``(1, identity)`` for an interest-set member and ``(0, -1)`` otherwise.
     The metadata is what the game adds to ``dataset.json``.
 
-    Each distinct secret's workload is built (not run), so a config
-    whose workload rejects its inputs fails here, before any run.
+    The collector policy and each distinct secret's workload are built
+    (not run), so a config whose policy or workload rejects its inputs
+    fails here, before any run.
     """
+    from .machine import CollectorPolicy
     from .workloads import build_workload
+
+    CollectorPolicy.from_json(cfg.policy)
 
     sybil = cfg.sybil or {}
     if cfg.game == "distinguish":
@@ -475,11 +474,9 @@ class _TraceJob:
     """One game round per call.
 
     Each round builds its run's machine, simulates the workload and
-    observes it there, and places the observation on that machine.  With
-    a ``stage`` directory the round writes its trace file there, the
-    text written straight from the observation (see ``write_trace``), and
-    returns the sha256 of the file's bytes; without one it returns the
-    placed Trace.  A
+    observes it there, writes the observation as placed on that machine
+    (see ``write_trace``) to its trace file in the ``stage`` directory,
+    and returns the sha256 of the file's bytes.  A
     run whose observation depends on its inputs alone (see
     ``observation_reusable``) is observed once per distinct secret, and
     its pages are placed per run.  The job keeps the observations of the
@@ -498,7 +495,7 @@ class _TraceJob:
     page numbers and key irrelevant.
     """
 
-    def __init__(self, cfg: GameConfig, inputs: list, stage: Path | None, repeated: set[str]):
+    def __init__(self, cfg: GameConfig, inputs: list, stage: Path, repeated: set[str]):
         from .machine import CollectorPolicy
         from .workloads import observation_reusable
 
@@ -512,7 +509,7 @@ class _TraceJob:
         self.checkpoint: tuple[Aggregation, Observer] | None = None
 
     def __call__(self, idx: int, x, run_seed: int):
-        from .machine import Placement, SimMachine, observe, place
+        from .machine import Placement, SimMachine, observe
         from .workloads import HeavyHitters, build_workload
 
         machine = SimMachine(
@@ -532,8 +529,6 @@ class _TraceJob:
                               derive_seed(run_seed, "noise"))
             if self.reusable and key in self.repeated:
                 self.observations[key] = obs
-        if self.stage is None:
-            return place(obs, machine, run_seed)
         data = write_trace(obs.trace(run_seed), Placement(obs, machine)).encode()
         (self.stage / _trace_file(idx)).write_bytes(data)
         return hashlib.sha256(data).hexdigest()
@@ -564,19 +559,18 @@ def _check_out_dir(root: Path) -> None:
 
 
 def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDataset:
-    """Run the config's plan and store the traces in order.
+    """Run the config's plan and store the dataset in ``out_dir``.
 
     ``plan`` is ``_plan(cfg)`` if the caller has made it already, else
     None.
 
     The runs map one job through :func:`~leaklab.pool.ordered_map`:
     serial runs call it here, a pool gives each worker its own copy.
-    For on-disk runs the job writes each trace file into the staging
-    directory, and this process writes the manifest rows in run order;
-    in-memory runs keep the job's Trace.  When the config's observations
-    are reusable, each entry's ``obs`` is the index of the first run of
-    its secret, and each manifest row also carries ``obs`` and the
-    ``sha256`` of its trace file; other configs write neither.
+    The job writes each trace file into the staging directory, and this
+    process writes the manifest rows in run order.  Each row carries the
+    ``sha256`` of its trace file and its ``obs``: when the config's
+    observations are reusable, the index of the first run of its secret,
+    else its own index.
 
     ``out_dir`` must be new or empty.  The dataset is written into a
     fresh sibling directory, which replaces ``out_dir`` once
@@ -584,62 +578,50 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDat
     the pool's workers have stopped, so ``out_dir`` ends up holding a
     whole dataset or is left as it was.
     """
-    if jobs > 1 and out_dir is None:
-        raise ValueError("parallel generation requires an output directory")
     inputs, runs, game_meta = plan if plan is not None else _plan(cfg)
-    root = Path(out_dir) if out_dir is not None else None
-    if root is not None:
-        _check_out_dir(root)
+    root = Path(out_dir)
+    _check_out_dir(root)
     meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(runs),
             "game": cfg.game, "base_seed": cfg.base_seed, **game_meta}
     uses = collections.Counter(repr(x) for x, _, _ in runs)
     repeated = {k for k, n in uses.items() if n > 1}
     xs, labels, seeds = zip(*runs)
     entries: list[DatasetEntry] = []
+    root.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{root.name}.", dir=root.parent))
     with contextlib.ExitStack() as stack:
-        stage = None
-        if root is not None:
-            root.parent.mkdir(parents=True, exist_ok=True)
-            stage = Path(tempfile.mkdtemp(prefix=f".{root.name}.", dir=root.parent))
-            # runs last; a stage already renamed into place is gone
-            stack.callback(shutil.rmtree, stage, ignore_errors=True)
-            (stage / "traces").mkdir()
-            manifest = stack.enter_context(open(stage / "manifest.jsonl", "w"))
+        # runs last; a stage already renamed into place is gone
+        stack.callback(shutil.rmtree, stage, ignore_errors=True)
+        (stage / "traces").mkdir()
+        manifest = stack.enter_context(open(stage / "manifest.jsonl", "w"))
         job = _TraceJob(cfg, inputs, stage, repeated)
-        if job.reusable:
-            # the runs of one secret place one observation: their group is
-            # the first of them in plan order
-            first: dict[str, int] = {}
-            groups = [first.setdefault(repr(x), idx) for idx, x in enumerate(xs)]
-        else:
-            groups = [None] * len(runs)
+        # the runs of one reusable secret place one observation: their
+        # group is the first of them in plan order; other runs are alone
+        first: dict[str, int] = {}
+        groups = [first.setdefault(repr(x), idx) if job.reusable else idx
+                  for idx, x in enumerate(xs)]
         results = stack.enter_context(
             ordered_map(job, jobs, range(len(runs)), xs, seeds, chunksize=4))
-        for idx, (label, seed, obs, result) in enumerate(zip(labels, seeds, groups, results)):
-            if root is None:
-                entries.append(DatasetEntry(seed=seed, label=label, trace=result, obs=obs))
-            else:
-                rel = _trace_file(idx)
-                row = {"path": rel, "game": cfg.game, "seed": seed,
-                       "label": list(label) if isinstance(label, tuple) else label}
-                if obs is not None:
-                    row.update(obs=obs, sha256=result)
-                entries.append(DatasetEntry(seed=seed, label=label, path=root / rel,
-                                            obs=obs, sha256=row.get("sha256")))
-                manifest.write(json.dumps(row, sort_keys=True) + "\n")
+        for idx, (label, seed, obs, sha256) in enumerate(zip(labels, seeds, groups, results)):
+            rel = _trace_file(idx)
+            row = {"path": rel, "game": cfg.game, "seed": seed,
+                   "label": list(label) if isinstance(label, tuple) else label,
+                   "obs": obs, "sha256": sha256}
+            entries.append(DatasetEntry(seed=seed, label=label, path=root / rel,
+                                        obs=obs, sha256=sha256))
+            manifest.write(json.dumps(row, sort_keys=True) + "\n")
             if progress is not None:
                 progress(idx + 1, len(runs))
-        if root is not None:
-            manifest.close()
-            (stage / "dataset.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
-            umask = os.umask(0)
-            os.umask(umask)
-            stage.chmod(0o777 & ~umask)  # mkdtemp makes it private; mkdir would not
-            os.replace(stage, root)
-    return LabeledDataset(cfg.game, cfg.base_seed, entries, metadata=meta, root=root)
+        manifest.close()
+        (stage / "dataset.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)  # mkdtemp makes it private; mkdir would not
+        os.replace(stage, root)
+    return LabeledDataset(cfg.game, cfg.base_seed, entries, metadata=meta)
 
 
-def run_distinguishing_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
+def run_distinguishing_game(cfg: GameConfig, out_dir, jobs: int = 1,
                             progress=None, plan=None) -> LabeledDataset:
     """Generate the two-secret dataset: label i%2 picks x0 or x1."""
     if cfg.game != "distinguish":
@@ -647,7 +629,7 @@ def run_distinguishing_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
     return _generate(cfg, out_dir, jobs, progress, plan)
 
 
-def run_fingerprinting_game(cfg: GameConfig, out_dir=None, jobs: int = 1,
+def run_fingerprinting_game(cfg: GameConfig, out_dir, jobs: int = 1,
                             progress=None, plan=None) -> LabeledDataset:
     """Generate the sampled-secret dataset with (membership, identity) labels."""
     if cfg.game != "fingerprint":

@@ -21,14 +21,15 @@ Collection is two steps.  ``observe`` replays the tap, in one pass, into
 an observation that is free of the memory-encryption key (an
 :class:`Observer` does the replay and can stop, fork and resume it): each
 ciphertext diff holds its two plaintext blocks, and the observation
-lists the observing machine's pages in allocation order.  ``place``
-gives the observation's k-th page the number of a run machine's k-th
-allocation (see ``SimMachine.layout``) and encrypts the diff blocks
-under that machine's key.  Both are pure functions of their inputs, so
-identical inputs give byte-identical traces.  No workload or collector
-decision reads a page number's value, and the k-th allocation's page
-number depends only on ``alloc_seed`` and k; so a run whose tap depends
-on nothing per run can be observed once, on any machine, and placed for
+lists the observing machine's pages in allocation order.  A
+:class:`Placement` gives the observation's k-th page the number of a run
+machine's k-th allocation (see ``SimMachine.layout``) and encrypts the
+diff blocks under that machine's key, as ``write_trace`` writes the
+trace text.  Both are pure functions of their inputs, so identical
+inputs give byte-identical traces.  No workload or collector decision
+reads a page number's value, and the k-th allocation's page number
+depends only on ``alloc_seed`` and k; so a run whose tap depends on
+nothing per run can be observed once, on any machine, and placed for
 every run.
 """
 
@@ -50,6 +51,8 @@ from .trace import (
     Marker,
     Trace,
     TraceEvent,
+    parse_trace,
+    write_trace,
 )
 
 __all__ = [
@@ -61,7 +64,6 @@ __all__ = [
     "Observer",
     "observe",
     "Placement",
-    "place",
     "collect",
     "run_collect",
     "PAGE_BYTES",
@@ -301,7 +303,8 @@ class Observation:
     ``events`` are the trace's events with pages in the observing
     machine's numbering and each ``CiphertextDiff`` holding the two
     plaintext blocks; ``pages`` are that machine's page numbers in
-    allocation order.  :func:`place` turns it into one run's trace.
+    allocation order.  ``write_trace(obs.trace(seed), Placement(obs,
+    machine))`` writes one run's trace of it.
     """
 
     channels: frozenset[str]
@@ -569,41 +572,15 @@ class Placement:
         return h1, h2
 
 
-def place(obs: Observation, machine: SimMachine, trace_seed: int) -> Trace:
-    """The trace an observation gives on one run's machine.
-
-    Pages are renamed and ciphertext diff blocks encrypted as in
-    :class:`Placement`.  Events whose page keeps its number pass through
-    untouched, so placing on the observing machine returns its code
-    fetches, data accesses and counters as they are.
-    ``write_trace(obs.trace(seed), Placement(obs, machine))`` writes the
-    text of this trace without building it.
-    """
-    placement = Placement(obs, machine)
-    pages = placement.pages
-    ciphers = placement.ciphers
-    events: list = []
-    append = events.append
-    for ev in obs.events:
-        cls = type(ev)
-        if cls is CiphertextDiff:
-            before, after = ciphers(*ev)
-            ev = _tuple_new(cls, (pages[ev.gpn], ev.block, before.digest(), after.digest()))
-        elif cls is DataAccess or cls is CodeFetch:
-            gpn = pages[ev.gpn]
-            if gpn != ev.gpn:
-                ev = _tuple_new(cls, (gpn, *ev[1:]))
-        append(ev)
-    return _tuple_new(Trace, (trace_seed, obs.channels, tuple(events), obs.num_code_pages))
-
-
 def collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolicy,
             trace_seed: int = 0) -> Trace:
-    """The trace of a raw tap: its observation placed on ``machine`` as is.
+    """The trace of a raw tap: its observation placed on ``machine`` as is,
+    parsed back from the placed text.
 
     ``trace_seed`` is the trace's SEED and seeds its cache noise.
     """
-    return place(observe(machine, tap, policy, trace_seed), machine, trace_seed)
+    obs = observe(machine, tap, policy, trace_seed)
+    return parse_trace(write_trace(obs.trace(trace_seed), Placement(obs, machine)))
 
 
 def run_collect(machine: SimMachine, workload, policy: CollectorPolicy,

@@ -245,8 +245,7 @@ def write_trace(trace: Trace, placement=None) -> str:
     observation on a run's machine), ``trace`` is that observation's
     events under the run's seed (``Observation.trace``), and each line is
     written as the run's trace has it: pages renamed and ciphertext diff
-    blocks encrypted.  The text equals ``write_trace(place(obs, machine,
-    seed))``; the placed events are never built.
+    blocks encrypted.  The placed events are never built.
     """
     lines = [f"SEED {trace.seed}", f"NUM {trace.num_code_pages}"]
     if trace.channels:

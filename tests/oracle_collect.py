@@ -14,6 +14,11 @@ gives on a fresh machine for that run.
 the touched blocks once before and once after the write: it slices the
 page per block, twice.  ``SimMachine.write`` must leave the same page
 bytes and tap, and fail with the same exception, for every write.
+
+:func:`place` is how an observation became one run's trace before the
+trace writer placed it as it wrote: it builds every placed event.
+``write_trace(obs.trace(seed), Placement(obs, machine))`` must give the
+text of ``write_trace(place(obs, machine, seed))``.
 """
 
 import hashlib
@@ -30,6 +35,8 @@ from leaklab.machine import (
     CollectorError,
     CollectorPolicy,
     MachineFault,
+    Observation,
+    Placement,
     SimMachine,
 )
 from leaklab.trace import (
@@ -263,3 +270,27 @@ def oracle_collect(machine: SimMachine, tap: list[tuple], policy: CollectorPolic
             filtered.append(ev2)
 
     return Trace(seed=trace_seed, channels=chans, events=tuple(filtered))
+
+
+def place(obs: Observation, machine: SimMachine, trace_seed: int) -> Trace:
+    """The trace an observation gives on one run's machine.
+
+    Pages are renamed and ciphertext diff blocks encrypted as in
+    :class:`~leaklab.machine.Placement`.  Events whose page keeps its
+    number pass through untouched, so placing on the observing machine
+    returns its code fetches, data accesses and counters as they are.
+    """
+    placement = Placement(obs, machine)
+    pages = placement.pages
+    events = []
+    for ev in obs.events:
+        cls = type(ev)
+        if cls is CiphertextDiff:
+            before, after = placement.ciphers(*ev)
+            ev = CiphertextDiff(pages[ev.gpn], ev.block, before.digest(), after.digest())
+        elif cls is DataAccess or cls is CodeFetch:
+            gpn = pages[ev.gpn]
+            if gpn != ev.gpn:
+                ev = cls(gpn, *ev[1:])
+        events.append(ev)
+    return Trace(trace_seed, obs.channels, tuple(events), obs.num_code_pages)

@@ -74,7 +74,7 @@ def test_a1_bound_values(capsys):
 # A2: padding proof checker plus measured advantage of a pure count channel
 # ---------------------------------------------------------------------------
 
-def test_a2_padding_dp_and_synthetic_channel(capsys):
+def test_a2_padding_dp_and_synthetic_channel(capsys, tmp_path):
     combos = [(e, d) for e in (0.05, 0.1, 0.5) for d in (1e-9, 1e-6)]
     details = []
     ok = True
@@ -90,7 +90,7 @@ def test_a2_padding_dp_and_synthetic_channel(capsys):
             "x0": 0, "x1": 1, "traces_per_class": 1000,
             "base_seed": 9100 + i,
         })
-        ds = run_distinguishing_game(cfg)
+        ds = run_distinguishing_game(cfg, out_dir=tmp_path / f"a2-{i}", jobs=JOBS)
         rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
                                  l2_lambda=0.1, iterations=1000, jobs=JOBS)
         _, mean, stderr = _raw_norm(rep.sets["F1"])

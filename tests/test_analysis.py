@@ -220,20 +220,20 @@ def test_advantage_report_deterministic(rng):
     assert r1.to_json() == r2.to_json()
 
 
-# Small in-memory datasets whose accuracies vary from split to split, so
-# that a report taken on other splits, or without a set, differs.
+# Small datasets whose accuracies vary from split to split, so that a
+# report taken on other splits, or without a set, differs.
 _FIT = {"trials": 3, "test_frac": 0.2, "l2_lambda": 1.0, "iterations": 1000}
 
 
 @pytest.fixture(scope="module")
-def scan_dataset():
+def scan_dataset(tmp_path_factory):
     return run_distinguishing_game(GameConfig.from_json({
         "game": "distinguish",
         "workload": {"kind": "pir_scan", "db_size": 256},
         "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True,
                    "cache_noise": {"drop_prob": 0.2}},
         "x0": 17, "x1": 200, "traces_per_class": 10, "base_seed": 5,
-    }))
+    }), tmp_path_factory.mktemp("scan") / "d")
 
 
 def test_evaluate_advantage_matches_oracle(scan_dataset):
@@ -256,7 +256,7 @@ def test_evaluate_seq_advantage_matches_oracle(scan_dataset):
     assert evaluate_seq_advantage(scan_dataset, **_FIT).to_json() == want.to_json()
 
 
-def test_fingerprint_advantage_matches_oracle():
+def test_fingerprint_advantage_matches_oracle(tmp_path):
     ds = run_fingerprinting_game(GameConfig.from_json({
         "game": "fingerprint",
         "workload": {"kind": "phh", "eps": 2.0, "delta": 1e-6, "mitigated": True},
@@ -265,7 +265,7 @@ def test_fingerprint_advantage_matches_oracle():
         "prior": {"kind": "table",
                   "table": {"a.io": 4, "b.io": 3, "c.com": 3, "d.com": 2}},
         "interest": {"kind": "list", "values": ["a.io", "b.io", "c.com"]},
-    }))
+    }), tmp_path / "d")
     params = FeatureParams(m_cf=16, m_da=32)
     want = oracle_fingerprint_advantage(ds, params=params, **_FIT)
     assert fingerprint_advantage(ds, params=params, **_FIT).to_json() == want.to_json()
@@ -577,8 +577,8 @@ def _reusable_dataset(name, where, tmp_path):
 
     cfg = GameConfig.from_json(_REUSABLE[name])
     run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
-    if where == "memory":
-        ds = run(cfg)
+    if where == "returned":  # the runner's own dataset, not loaded back
+        ds = run(cfg, out_dir=tmp_path / "d")
     else:
         run(cfg, out_dir=tmp_path / "d", jobs=int(where[-1]))
         ds = LabeledDataset.load(tmp_path / "d")
@@ -595,7 +595,7 @@ def _walk_jobs(where, monkeypatch):
     return 2
 
 
-@pytest.mark.parametrize("where", ["memory", "jobs1", "jobs2"])
+@pytest.mark.parametrize("where", ["returned", "jobs1", "jobs2"])
 def test_reused_fingerprint_matches_oracle(tmp_path, monkeypatch, where):
     ds = _reusable_dataset("fingerprint", where, tmp_path)
     params = FeatureParams(m_cf=16, m_da=32)
@@ -604,7 +604,7 @@ def test_reused_fingerprint_matches_oracle(tmp_path, monkeypatch, where):
     assert got.to_json() == want.to_json()
 
 
-@pytest.mark.parametrize("where", ["memory", "jobs1", "jobs2"])
+@pytest.mark.parametrize("where", ["returned", "jobs1", "jobs2"])
 def test_reused_distinguish_matches_oracle(tmp_path, monkeypatch, where):
     from leaklab.analysis import advantage_reports
 
@@ -642,7 +642,7 @@ def test_walk_starts_a_pool_only_for_enough_trace_bytes(tmp_path, monkeypatch):
 
 # -- the n-gram model's fit: scaled, not centered -------------------------------
 
-def test_uncentered_fit_matches_the_csr_fit_on_a6_data():
+def test_uncentered_fit_matches_the_csr_fit_on_a6_data(tmp_path):
     # A6's ciphertext dataset: 400 rows of hashed n-gram counts, most of
     # them nonzero in every bucket in use.  The dense fit over the
     # buckets in use against the CSR fit over all 2**15 of them
@@ -652,7 +652,7 @@ def test_uncentered_fit_matches_the_csr_fit_on_a6_data():
         "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True},
         "x0": 137, "x1": 803, "sybil": {"kind": "copies", "value": 0, "count": 9},
         "traces_per_class": 200, "base_seed": 9600,
-    }))
+    }), tmp_path / "d")
     traces, labels = zip(*ds.iter_labeled())
     tokens = [tokenize(t).tokens for t in traces]
     X = ngram_hash_matrix(tokens)

@@ -236,10 +236,11 @@ def test_config_that_fails_its_run_is_a_config_error(capsys, tmp_path, name):
     obj = RUN_FAILURES[name]
     cfg = GameConfig.from_json(obj)
     run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
-    with pytest.raises((KeyError, ValueError, TypeError, AttributeError)):
-        run(cfg)
-    path = write_config(tmp_path, obj)
     out = tmp_path / "out"
+    with pytest.raises((KeyError, ValueError, TypeError, AttributeError)):
+        run(cfg, out_dir=out)
+    assert list(tmp_path.iterdir()) == []
+    path = write_config(tmp_path, obj)
     for extra in ([], ["--dry-run"]):
         code, rep, err = run_cli(capsys, "simulate", "--config", path,
                                  "--out", str(out), *extra)
@@ -248,13 +249,14 @@ def test_config_that_fails_its_run_is_a_config_error(capsys, tmp_path, name):
 
 
 # Each config passes the schema but fails its plan: a secret or interest
-# set its game or workload cannot take.
+# set its game or workload cannot take, or a policy the collector refuses.
 PLAN_FAILURES = {
     "interest-outside-universe": {**FP_CONFIG, "interest": {"kind": "list",
                                                             "values": ["zz.io"]}},
     "table-without-member": {**FP_CONFIG, "prior": {"kind": "table",
                                                     "table": {"a.com": 1, "b.org": 1}}},
     "scan-secret-beyond-db": {**SCAN_CONFIG, "x1": 50},
+    "cache-without-page": {**SCAN_CONFIG, "policy": {"channels": ["cache"]}},
 }
 
 
@@ -386,6 +388,52 @@ def test_analyze_refuses_a_feature_scale_that_overflows(capsys, loop_dataset, mo
                              "--sets", "all", "--trials", "2", "--jobs", "1")
     assert code == EXIT_RUNTIME and rep is None
     assert "ValueError: feature columns [" in err and "overflow when standardized" in err
+
+
+def test_analyze_refuses_a_fingerprint_split_without_test_traces(capsys, tmp_path):
+    # each interest-set member occurs once, so no identity split has a
+    # test trace: a report would hold NaN accuracies
+    obj = {"game": "fingerprint",
+           "workload": {"kind": "phh", "eps": 2.0, "delta": 1e-6,
+                        "marked_stage": "aggregate"},
+           "policy": {"channels": ["page", "cache", "cipher", "pmc"], "targeted": True},
+           "prior": {"kind": "table", "table": {"a.io": 1, "b.dev": 1, "c.de": 1,
+                                                "d.fr": 1, "f.com": 4, "g.org": 4}},
+           "interest": {"kind": "list", "values": ["a.io", "b.dev", "c.de", "d.fr"]},
+           "n_traces": 6, "base_seed": 5}
+    out = tmp_path / "ds"
+    code, _, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path, obj),
+                         "--out", str(out))
+    assert code == EXIT_OK
+    rows = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    members = [r["label"][1] for r in rows if r["label"][0] == 1]
+    assert members and len(set(members)) == len(members)
+    code, rep, err = run_cli(capsys, "analyze", "--dataset", str(out), "--fingerprint",
+                             "--trials", "2")
+    assert code == EXIT_RUNTIME and rep is None
+    assert "ValueError: trial 0: the test split is empty, so its accuracy would be NaN" in err
+
+
+def test_analyze_refuses_an_edited_trace_of_a_config_without_reuse(capsys, tmp_path):
+    # a synthetic_loop run reuses no observation, and its manifest row
+    # still holds its file's sha256: a trace that lost code fetches but
+    # still parses fails the analysis instead of changing its features
+    from leaklab.trace import parse_trace
+
+    out = tmp_path / "ds"
+    code, _, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path, LOOP_CONFIG),
+                         "--out", str(out))
+    assert code == EXIT_OK
+    path = out / "traces" / "trace_00000.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    cf = [i for i, line in enumerate(lines) if line.startswith("CF ")]
+    assert len(cf) >= 12
+    path.write_text("".join(line for i, line in enumerate(lines) if i not in cf[2:]))
+    parse_trace(path.read_text())
+    code, rep, err = run_cli(capsys, "analyze", "--dataset", str(out), "--sets", "F1",
+                             "--trials", "2")
+    assert code == EXIT_RUNTIME and rep is None
+    assert "trace_00000.txt: trace file does not match its sha256" in err
 
 
 def test_analyze_feature_sets(capsys, loop_dataset):
@@ -755,7 +803,8 @@ def test_simulate_counts_observations_of_a_reusable_config(capsys, tmp_path):
     scan = {"game": "distinguish", "workload": {"kind": "pir_scan", "db_size": 64},
             "policy": {"channels": ["page", "cipher"], "targeted": True},
             "x0": 3, "x1": 40, "traces_per_class": 3, "base_seed": 11}
-    for name, obj, want in [("scan", scan, 2), ("loop", LOOP_CONFIG, None)]:
+    # a config whose observations are not reusable places one per run
+    for name, obj, want in [("scan", scan, 2), ("loop", LOOP_CONFIG, 4)]:
         out = tmp_path / name
         code, rep, _ = run_cli(capsys, "simulate", "--config",
                                write_config(tmp_path, obj, f"{name}.json"), "--out", str(out))

@@ -4,7 +4,7 @@
 under 1.5 s together and run here, each in its own interpreter, as a
 user would run them.  ``hashmap_distinguish.py``, ``pir_showdown.py``
 and ``fingerprint_urls.py`` take 13-20 s each on a 2-core host and stay
-out of the suite.
+out of the suite; the CI workflow runs them in a step of their own.
 """
 
 import subprocess

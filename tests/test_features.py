@@ -257,8 +257,9 @@ _INVARIANCE_PARAMS = [FeatureParams(), FeatureParams(n_bins=3, m_cf=2, m_da=3),
 
 def _placement_pairs(rng, n=120):
     """One fuzzed observation placed on two machines with other seeds."""
-    from leaklab.machine import observe, place
+    from leaklab.machine import observe
 
+    from oracle_collect import place
     from test_machine import _fuzzed_run
 
     pairs = []

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from leaklab.games import (
     run_distinguishing_game,
     run_fingerprinting_game,
 )
-from leaklab.machine import CollectorPolicy, Placement, SimMachine, observe, place
+from leaklab.machine import CollectorPolicy, Placement, SimMachine, observe
 from leaklab.schemas import SchemaError
 from leaklab.trace import write_trace
 from leaklab.workloads import (
@@ -34,7 +35,7 @@ from leaklab.workloads import (
 from leaklab.workloads.phh import Aggregation
 
 from conftest import assert_same_text
-from oracle_collect import oracle_collect
+from oracle_collect import oracle_collect, place
 
 LOOP_CFG = dict(
     game="distinguish",
@@ -151,9 +152,9 @@ def test_game_config_hash_and_roundtrip():
     assert len(cfg.config_hash()) == 64
 
 
-def test_distinguishing_game_plan():
+def test_distinguishing_game_plan(tmp_path):
     cfg = GameConfig.from_json(dict(LOOP_CFG))
-    ds = run_distinguishing_game(cfg)
+    ds = run_distinguishing_game(cfg, tmp_path / "d")
     assert len(ds) == 6
     labels = [e.label for e in ds.entries]
     assert labels == [0, 1, 0, 1, 0, 1]
@@ -167,14 +168,15 @@ def test_distinguishing_game_plan():
     assert len(t1.events) > len(t0.events)
 
 
-def test_distinguishing_game_deterministic():
+def test_distinguishing_game_deterministic(tmp_path):
     cfg = GameConfig.from_json(dict(LOOP_CFG))
-    a = run_distinguishing_game(cfg)
-    b = run_distinguishing_game(cfg)
+    a = run_distinguishing_game(cfg, tmp_path / "a")
+    b = run_distinguishing_game(cfg, tmp_path / "b")
     texts_a = [write_trace(e.load()) for e in a.entries]
     texts_b = [write_trace(e.load()) for e in b.entries]
     assert texts_a == texts_b
-    c = run_distinguishing_game(GameConfig.from_json({**LOOP_CFG, "base_seed": 78}))
+    c = run_distinguishing_game(GameConfig.from_json({**LOOP_CFG, "base_seed": 78}),
+                                tmp_path / "c")
     assert [write_trace(e.load()) for e in c.entries] != texts_a
 
 
@@ -184,7 +186,7 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert (tmp_path / "d1" / "dataset.json").exists()
     rows = [json.loads(l) for l in (tmp_path / "d1" / "manifest.jsonl").read_text().splitlines()]
     assert len(rows) == 6
-    assert all(set(r) == {"path", "label", "game", "seed"} for r in rows)
+    assert all(set(r) == {"path", "label", "game", "seed", "obs", "sha256"} for r in rows)
     back = LabeledDataset.load(tmp_path / "d1")
     assert back.game == "distinguish"
     assert back.base_seed == 77
@@ -223,21 +225,22 @@ def test_fingerprinting_game_labels_and_metadata(tmp_path):
     assert back.s_c == ds.s_c and back.s_f == ds.s_f
 
 
-def test_fingerprinting_game_deterministic():
+def test_fingerprinting_game_deterministic(tmp_path):
     cfg = GameConfig.from_json(dict(FP_CFG))
-    a = run_fingerprinting_game(cfg)
-    b = run_fingerprinting_game(cfg)
+    a = run_fingerprinting_game(cfg, tmp_path / "a")
+    b = run_fingerprinting_game(cfg, tmp_path / "b")
     assert [e.label for e in a.entries] == [e.label for e in b.entries]
     assert [write_trace(e.load()) for e in a.entries] == \
         [write_trace(e.load()) for e in b.entries]
 
 
-def test_game_runner_type_checks():
+def test_game_runner_type_checks(tmp_path):
     cfg = GameConfig.from_json(dict(LOOP_CFG))
-    with pytest.raises(ValueError):
-        run_fingerprinting_game(cfg)
-    with pytest.raises(ValueError):
-        run_distinguishing_game(GameConfig.from_json(dict(FP_CFG)))
+    with pytest.raises(ValueError, match="not a fingerprinting game"):
+        run_fingerprinting_game(cfg, tmp_path / "f")
+    with pytest.raises(ValueError, match="not a distinguishing game"):
+        run_distinguishing_game(GameConfig.from_json(dict(FP_CFG)), tmp_path / "d")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _dir_bytes(root):
@@ -254,8 +257,6 @@ def test_parallel_generation_matches_serial(tmp_path, cfg_obj):
     serial, parallel = _dir_bytes(tmp_path / "s"), _dir_bytes(tmp_path / "p")
     assert len(serial) == len(ds) + 2  # traces, manifest.jsonl, dataset.json
     assert serial == parallel
-    with pytest.raises(ValueError):
-        run(cfg, jobs=2)  # parallel needs a directory
 
 
 def test_generation_refuses_a_used_out_dir(tmp_path):
@@ -406,7 +407,7 @@ def _oracle_traces(cfg):
 def test_game_traces_match_oracle_path(tmp_path, name):
     cfg = _kind_config(name)
     expected = _oracle_traces(cfg)
-    ds = run_distinguishing_game(cfg)
+    ds = run_distinguishing_game(cfg, tmp_path / "s")
     assert [write_trace(e.load()) for e in ds.entries] == expected
     run_distinguishing_game(cfg, out_dir=tmp_path / "p", jobs=2)
     files = sorted((tmp_path / "p" / "traces").iterdir())
@@ -425,19 +426,19 @@ def workload_calls(monkeypatch):
     return calls
 
 
-def test_each_generation_simulates_its_own_secrets(workload_calls):
+def test_each_generation_simulates_its_own_secrets(tmp_path, workload_calls):
     cfg = _kind_config("pir_scan")
-    first = run_distinguishing_game(cfg)
+    first = run_distinguishing_game(cfg, tmp_path / "first")
     assert workload_calls == {"LinearScanPir": 2}  # one per distinct secret
-    second = run_distinguishing_game(cfg)
+    second = run_distinguishing_game(cfg, tmp_path / "second")
     assert workload_calls == {"LinearScanPir": 4}
     assert [write_trace(e.load()) for e in first.entries] == \
         [write_trace(e.load()) for e in second.entries]
-    run_distinguishing_game(_kind_config("pir_hashmap"))
+    run_distinguishing_game(_kind_config("pir_hashmap"), tmp_path / "hashmap")
     assert workload_calls["HashMapPir"] == 2
 
 
-def test_phh_prefix_is_simulated_once(monkeypatch, workload_calls):
+def test_phh_prefix_is_simulated_once(tmp_path, monkeypatch, workload_calls):
     # one serial generation: every sybil input is inserted once, into the
     # shared checkpoint, and each distinct secret once, into a copy of it
     inserted = collections.Counter()
@@ -447,14 +448,14 @@ def test_phh_prefix_is_simulated_once(monkeypatch, workload_calls):
     for name in ("phh-aggregate", "phh-aggregate-mitigated"):
         inserted.clear()
         cfg = _kind_config(name)
-        run_distinguishing_game(cfg)
+        run_distinguishing_game(cfg, tmp_path / name)
         assert inserted == collections.Counter(_sybil_inputs(cfg.sybil) + [cfg.x0, cfg.x1])
     assert workload_calls == {}
 
 
 @pytest.mark.parametrize("name", ["pir_scan-noisy", "pir_oram", "synthetic_loop", "phh"])
-def test_noisy_or_seeded_runs_never_reuse(workload_calls, name):
-    run_distinguishing_game(_kind_config(name))
+def test_noisy_or_seeded_runs_never_reuse(tmp_path, workload_calls, name):
+    run_distinguishing_game(_kind_config(name), tmp_path / "d")
     assert sum(workload_calls.values()) == 6
 
 
@@ -487,10 +488,10 @@ def recorded_jobs(monkeypatch):
     {"game": "distinguish", "policy": FULL_POLICY, "traces_per_class": 1,
      **KIND_CFGS["pir_hashmap"]},
 ], ids=["fingerprint", "distinguish", "distinguish-once"])
-def test_job_keeps_only_repeated_secrets(recorded_jobs, workload_calls, cfg_obj):
+def test_job_keeps_only_repeated_secrets(tmp_path, recorded_jobs, workload_calls, cfg_obj):
     cfg = GameConfig.from_json(cfg_obj)
     run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
-    ds = run(cfg)
+    ds = run(cfg, tmp_path / "d")
     (job,) = recorded_jobs
     uses = collections.Counter(repr(x) for x in job.secrets)
     assert len(job.secrets) == len(ds)
@@ -534,7 +535,6 @@ def test_reusable_manifest_names_groups_and_digests(tmp_path, cfg_obj):
     run = run_fingerprinting_game if cfg.game == "fingerprint" else run_distinguishing_game
     groups = _first_of_each_secret(cfg)
     assert len(set(groups)) < len(groups)
-    assert [e.obs for e in run(cfg).entries] == groups
     ds = run(cfg, out_dir=tmp_path / "d")
     rows = _manifest(tmp_path / "d")
     assert [r["obs"] for r in rows] == [e.obs for e in ds.entries] == groups
@@ -545,10 +545,24 @@ def test_reusable_manifest_names_groups_and_digests(tmp_path, cfg_obj):
     assert [(e.obs, e.sha256) for e in back.entries] == [(r["obs"], r["sha256"]) for r in rows]
 
 
-def test_other_configs_write_no_groups(tmp_path):
+def test_other_configs_write_groups_of_one(tmp_path):
     ds = run_distinguishing_game(GameConfig.from_json(dict(LOOP_CFG)), out_dir=tmp_path / "d")
-    assert all(set(r) == {"path", "label", "game", "seed"} for r in _manifest(tmp_path / "d"))
+    rows = _manifest(tmp_path / "d")
+    assert [r["obs"] for r in rows] == [e.obs for e in ds.entries] == list(range(len(ds)))
+    for r, e in zip(rows, ds.entries):
+        assert r["sha256"] == e.sha256 == hashlib.sha256(e.path.read_bytes()).hexdigest()
+
+
+def test_manifest_without_groups_still_loads(tmp_path):
+    # a manifest written before every row carried obs and sha256
+    run_distinguishing_game(GameConfig.from_json(dict(LOOP_CFG)), out_dir=tmp_path / "d")
+    rows = _manifest(tmp_path / "d")
+    for r in rows:
+        del r["obs"], r["sha256"]
+    _write_manifest(tmp_path / "d", rows)
+    ds = LabeledDataset.load(tmp_path / "d")
     assert all(e.obs is None and e.sha256 is None for e in ds.entries)
+    assert len(ds.heads()) == len(ds)
 
 
 @pytest.fixture
@@ -640,7 +654,8 @@ def test_dataset_load_rejects_bad_groups(reused_dataset, edit, match):
 def test_dataset_rejects_an_obs_outside_its_group():
     def dataset(*obs, labels=(0, 0, 0)):
         return LabeledDataset("distinguish", 0, [
-            DatasetEntry(seed=i, label=y, obs=o) for i, (o, y) in enumerate(zip(obs, labels))])
+            DatasetEntry(seed=i, label=y, path=Path(f"t{i}"), obs=o)
+            for i, (o, y) in enumerate(zip(obs, labels))])
 
     assert len(dataset(0, 0, 2)) == len(dataset(0, 1, 1)) == len(dataset(None, None, None)) == 3
     with pytest.raises(ValueError, match="row 2: obs 1 names a row outside its own group"):

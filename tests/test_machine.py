@@ -15,7 +15,6 @@ from leaklab.machine import (
     SimMachine,
     collect,
     observe,
-    place,
     run_collect,
 )
 from leaklab.trace import (
@@ -29,7 +28,7 @@ from leaklab.trace import (
 )
 
 from conftest import assert_same_text, assert_sound_records
-from oracle_collect import ciphertext_of, oracle_collect, oracle_write
+from oracle_collect import ciphertext_of, oracle_collect, oracle_write, place
 
 
 def only(events, cls):

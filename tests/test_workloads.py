@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import leaklab.workloads.phh as phh_mod
-from leaklab.machine import CollectorPolicy, SimMachine, collect, observe, place, run_collect
+from leaklab.machine import CollectorPolicy, SimMachine, collect, observe, run_collect
 from leaklab.trace import (
     CiphertextDiff,
     CodeFetch,
@@ -33,6 +33,8 @@ from leaklab.workloads import (
     make_db_values,
     observation_reusable,
 )
+
+from oracle_collect import place
 
 PAGE_POLICY = CollectorPolicy(channels=("page",), targeted=True)
 FULL_POLICY = CollectorPolicy(channels=("page", "cache", "cipher", "pmc"), targeted=True)
