@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from leaklab.analysis import dp_bound, evaluate_advantage
+from leaklab.analysis import advantage_reports, dp_bound
 from leaklab.games import GameConfig, run_distinguishing_game
 
 BASE = {
@@ -35,8 +35,8 @@ def measure(mitigated: bool, eps: float, delta: float) -> tuple[float, float]:
     })
     with tempfile.TemporaryDirectory() as out:
         ds = run_distinguishing_game(cfg, out)
-        rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
-                                 l2_lambda=0.1, iterations=1000)
+        rep = advantage_reports(ds, ["F1"], trials=5, test_frac=0.2,
+                                l2_lambda=0.1, iterations=1000)["advantage"]
     per = [2 * (a - 0.5) for a in rep.sets["F1"].accuracies]
     # trials re-split one dataset, so floor the error at one split's
     # binomial noise instead of pretending 5 independent measurements

@@ -10,7 +10,7 @@ data-dependent shortcut that skips re-encrypting all-zero blocks.
 
 import tempfile
 
-from leaklab.analysis import evaluate_advantage, evaluate_seq_advantage
+from leaklab.analysis import advantage_reports
 from leaklab.games import GameConfig, run_distinguishing_game
 from leaklab.machine import CollectorPolicy, SimMachine, run_collect
 from leaklab.trace import write_trace
@@ -44,8 +44,8 @@ def scan_cipher_advantage() -> float:
     })
     with tempfile.TemporaryDirectory() as out:
         ds = run_distinguishing_game(cfg, out)
-        rep = evaluate_seq_advantage(ds, trials=3, test_frac=0.2,
-                                     l2_lambda=0.1, iterations=1000)
+        rep = advantage_reports(ds, seq=True, trials=3, test_frac=0.2,
+                                l2_lambda=0.1, iterations=1000)["seq"]
     return rep.sets["seq"].normalized_mean
 
 
@@ -63,8 +63,8 @@ def oram_advantage(flaw: bool) -> float:
     })
     with tempfile.TemporaryDirectory() as out:
         ds = run_distinguishing_game(cfg, out)
-        rep = evaluate_advantage(ds, ["F3"], trials=5, test_frac=0.2,
-                                 l2_lambda=0.1, iterations=1000)
+        rep = advantage_reports(ds, ["F3"], trials=5, test_frac=0.2,
+                                l2_lambda=0.1, iterations=1000)["advantage"]
     return rep.sets["F3"].normalized_mean
 
 

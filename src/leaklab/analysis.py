@@ -24,10 +24,9 @@ The package runs on numpy alone: no command loads scipy.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "AdvantageReport",
     "advantage_from_matrices",
     "advantage_reports",
-    "evaluate_advantage",
     "evaluate_seq_advantage",
     "FingerprintReport",
     "fingerprint_advantage",
@@ -389,6 +387,7 @@ class AdvantageReport:
     sets: dict[str, SetResult]
     trials: int
     n_traces: int
+    warnings: list[str] = field(default_factory=list)  # zero-fill, not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -400,67 +399,83 @@ class AdvantageReport:
 
 @dataclass(frozen=True)
 class _Featurize:
-    """The walk's job: ``(names, values, tokens)`` of one trace.
-
-    ``names`` and ``values`` are the F1–F5 column names and values of
-    ``sets`` (both None without ``sets``), ``tokens`` the token stream
-    (None unless ``seq``).  A module-level job, so that it pickles.
+    """The walk's job, picklable, on a chunk of group heads that it loads:
+    ``(names, rows, warnings, error)``.  ``names`` are the F1–F5 columns
+    of ``sets`` (they depend on ``sets`` and ``params`` alone), ``rows``
+    one ``(values, tokens)`` per head (None without ``sets`` or ``seq``),
+    ``warnings`` the heads' zero-fill warnings in order of first
+    appearance.  A head whose file fails to load ends the chunk as ``error``.
     """
 
     sets: tuple | None
     params: object
     seq: bool = False
 
-    def __call__(self, trace) -> tuple:
+    def __call__(self, heads) -> tuple:
         from .features import extract_features, tokenize
 
-        names = values = tokens = None
-        if self.sets is not None:
-            fv = extract_features(trace, self.sets, self.params)
-            names, values = fv.names, fv.values
-        if self.seq:
-            tokens = tokenize(trace).tokens
-        return names, values, tokens
+        names, rows, warnings = None, [], []
+        for entry in heads:
+            try:
+                trace = entry.load()
+            except (OSError, ValueError) as error:
+                return names, rows, warnings, error
+            values = None
+            if self.sets is not None:
+                fv = extract_features(trace, self.sets, self.params)
+                names, values = fv.names, fv.values
+                warnings += [w for w in fv.warnings if w not in warnings]
+            rows.append((values, tokenize(trace).tokens if self.seq else None))
+        return names, rows, warnings, None
 
 
-def _featurize_entry(featurize, entry):
-    return featurize(entry.load())
+#: A walk task takes group heads until their files hold this many bytes, enough
+#: to outweigh its process round trip; a fingerprint-phh head (750 KB) fills one.
+_CHUNK_BYTES = 1 << 19
 
 
-#: A walk starts its pool only when its group heads' trace files hold at
-#: least this many bytes.  Two workers at best halve a serial walk, which
-#: parses and featurizes about 14 MB/s, and starting them costs 12-40 ms
-#: (2-core host), so the pool pays only above 0.3-1.1 MB of trace text.
-_POOL_MIN_BYTES = 1 << 20
-
-
-def _walk(dataset, featurize, jobs: int = 1) -> tuple[list, list]:
-    """``featurize(trace)`` over every trace in dataset order, then the
-    labels.  No trace outlives the walk, or leaves the process it was
-    parsed in.
+def _walk(dataset, featurize: _Featurize, jobs: int = 1) -> tuple:
+    """``(names, X, tokens, labels, warnings)``: one row of ``X`` (None
+    without sets) and one token stream per trace, in dataset order.  No
+    trace outlives the walk, or leaves the process it was parsed in.
 
     Only the first trace of each observation group is loaded and
     featurized (see ``LabeledDataset.heads``); the other members get its
-    value, after their file is read and checked.  That is exact: the
+    row, after their file is read and checked.  That is exact: the
     runs of one group place the same observation, which renames pages
     one-to-one and keeps every event, and the featurizers read a page
     only through equality and order of first appearance, and a
     ciphertext diff only through its page and block.
 
-    The walk runs in this process unless ``jobs`` is above 1 and the
-    group heads' files hold at least ``_POOL_MIN_BYTES``.  Then a pool of
-    at most one worker per group head loads and featurizes the heads,
-    while this process reads and checks the other members' files; the
-    values are still taken in dataset order, so they do not depend on
-    ``jobs``.  ``featurize`` must then pickle.
+    A task is a chunk of consecutive heads, closed once their files hold
+    ``_CHUNK_BYTES`` (a missing one counts 0, and fails at load).  Up to
+    ``jobs`` workers, never more than chunks, run the tasks (one chunk
+    runs here) while this process checks the members' files.  An error
+    is raised in its head's place, so neither the results nor the error,
+    that of the first bad file in dataset order, depend on ``jobs``.
     """
-    heads = dataset.heads()
-    # a missing file is left for the walk to report
-    if sum(e.path.stat().st_size for e in heads if e.path.is_file()) < _POOL_MIN_BYTES:
-        jobs = 1
-    with ordered_map(functools.partial(_featurize_entry, featurize), jobs, heads) as values:
-        rows = dataset.spread(values)
-    return rows, [e.label for e in dataset.entries]
+    chunks, size = [[]], 0
+    for e in dataset.heads():
+        if chunks[-1] and size >= _CHUNK_BYTES:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(e)
+        size += e.path.stat().st_size if e.path.is_file() else 0
+    names, warnings = None, []
+
+    def head_rows(results):
+        nonlocal names
+        for names, rows, chunk_warnings, error in results:
+            warnings.extend(w for w in chunk_warnings if w not in warnings)
+            yield from rows
+            if error is not None:
+                raise error
+
+    with ordered_map(featurize, jobs, chunks) as results:
+        rows = dataset.spread(head_rows(results))
+    X = None if names is None else np.vstack([values for values, _ in rows])
+    return (names, X, [tokens for _, tokens in rows],
+            [e.label for e in dataset.entries], warnings)
 
 
 def _trial_set(X, y, seed: tuple, trials: int, test_frac: float, l2_lambda: float,
@@ -516,50 +531,36 @@ def advantage_reports(dataset, feature_sets=None, *, seq: bool = False,
                       params=None, trials: int = 5, test_frac: float = 0.2,
                       l2_lambda: float = 1.0, iterations: int = 1000,
                       jobs: int = 1) -> dict[str, AdvantageReport]:
-    """The reports of :func:`evaluate_advantage` (under ``"advantage"``,
-    unless ``feature_sets`` is None) and :func:`evaluate_seq_advantage`
-    (under ``"seq"``, when ``seq`` is set) from one walk over the dataset,
-    so each trace is loaded and parsed once.
+    """Distinguishing advantage of ``feature_sets`` (under ``"advantage"``,
+    unless None) and of the sequence model (under ``"seq"``, when ``seq``
+    is set; see :func:`evaluate_seq_advantage`) from one walk over the
+    dataset, so each trace is loaded and parsed once.
 
-    Up to ``jobs`` worker processes load and featurize the dataset's
-    traces (see :func:`_walk`); the fits run here, and the reports do not
-    depend on ``jobs``.
+    ``dataset`` is a :class:`~leaklab.games.LabeledDataset` whose labels
+    form a two-class problem.  Up to ``jobs`` worker processes load and
+    featurize its traces (see :func:`_walk`); the fits run here, and the
+    reports do not depend on ``jobs``.
     """
-    from .features import FeatureParams, ngram_hash_matrix
+    from .features import ngram_hash_matrix
 
     if feature_sets is not None:
         feature_sets = tuple(feature_sets)
-    job = _Featurize(feature_sets, params or FeatureParams(), seq)
-    rows, labels = _walk(dataset, job, jobs)
+    job = _Featurize(feature_sets, params, seq)
+    names, X, tokens, labels, warnings = _walk(dataset, job, jobs)
 
     fit = dict(trials=trials, test_frac=test_frac, l2_lambda=l2_lambda,
                iterations=iterations, split_seed=getattr(dataset, "base_seed", 0))
     reports = {}
     if feature_sets is not None:
         # split the columns per set; names carry the set as a "F<k>." prefix
-        X = np.vstack([values for _, values, _ in rows])
-        prefixes = [n.split(".", 1)[0] for n in rows[0][0]]
-        X_by_set = {name: X[:, [p == name for p in prefixes]]
+        X_by_set = {name: X[:, [n.startswith(f"{name}.") for n in names]]
                     for name in feature_sets}
         reports["advantage"] = advantage_from_matrices(X_by_set, labels, **fit)
+        reports["advantage"].warnings = warnings
     if seq:
         reports["seq"] = advantage_from_matrices(
-            {"seq": ngram_hash_matrix([tokens for _, _, tokens in rows])}, labels,
-            center=False, **fit)
+            {"seq": ngram_hash_matrix(tokens)}, labels, center=False, **fit)
     return reports
-
-
-def evaluate_advantage(dataset, feature_sets, *, params=None, trials: int = 5,
-                       test_frac: float = 0.2, l2_lambda: float = 1.0,
-                       iterations: int = 1000, jobs: int = 1) -> AdvantageReport:
-    """Measure distinguishing advantage of each feature set on a dataset.
-
-    ``dataset`` is a :class:`~leaklab.games.LabeledDataset`; labels must
-    form a two-class problem.  ``jobs`` is as in :func:`advantage_reports`.
-    """
-    return advantage_reports(
-        dataset, feature_sets, params=params, trials=trials, test_frac=test_frac,
-        l2_lambda=l2_lambda, iterations=iterations, jobs=jobs)["advantage"]
 
 
 def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
@@ -571,7 +572,7 @@ def evaluate_seq_advantage(dataset, *, trials: int = 5, test_frac: float = 0.2,
     its n-grams (n <= 3) are hash-bucketed into 2**15 counts by
     :func:`~leaklab.features.ngram_hash_matrix`, and a logistic regression
     is trained on those counts, scaled but not centered.  Captures local ordering that the
-    handcrafted count features discard.
+    handcrafted count features discard.  The benchmark harness calls it.
     """
     return advantage_reports(
         dataset, seq=True, trials=trials, test_frac=test_frac,
@@ -588,6 +589,7 @@ class FingerprintReport:
     fingerprint: SetResult
     s_c: float
     s_f: float
+    warnings: list[str] = field(default_factory=list)  # zero-fill, not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -609,13 +611,10 @@ def fingerprint_advantage(dataset, *, params=None, trials: int = 5,
     traces; the identity classifier only on traces whose element is in
     the interest set.  ``jobs`` is as in :func:`advantage_reports`.
     """
-    from .features import FEATURE_SET_NAMES, FeatureParams
+    from .features import FEATURE_SET_NAMES
 
-    job = _Featurize(tuple(FEATURE_SET_NAMES), params or FeatureParams())
-    rows, labels = _walk(dataset, job, jobs)
-    X = np.vstack([values for _, values, _ in rows])
-    members = np.array([int(member) for member, _ in labels])
-    identities = np.array([int(ident) for _, ident in labels])
+    _, X, _, labels, warnings = _walk(dataset, _Featurize(FEATURE_SET_NAMES, params), jobs)
+    members, identities = np.array(labels, dtype=int).T
     member_idx = np.flatnonzero(members == 1)
     split_seed = getattr(dataset, "base_seed", 0)
     fit = (trials, test_frac, l2_lambda, iterations)
@@ -625,7 +624,7 @@ def fingerprint_advantage(dataset, *, params=None, trials: int = 5,
         fingerprint=_trial_set(X[member_idx], identities[member_idx],
                                (split_seed, 202), *fit,
                                baseline=dataset.s_f),
-        s_c=dataset.s_c, s_f=dataset.s_f,
+        s_c=dataset.s_c, s_f=dataset.s_f, warnings=warnings,
     )
 
 

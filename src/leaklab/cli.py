@@ -195,6 +195,7 @@ def _cmd_analyze(args) -> int:
         rep = fingerprint_advantage(ds, params=params, jobs=args.jobs, **kw)
         results["fingerprint"] = rep.to_json()
         sets = {"membership": rep.membership, "fingerprint": rep.fingerprint}
+        warnings = list(rep.warnings)
     else:
         names = _parse_sets(args.sets)
         if not names and not args.seq:
@@ -203,10 +204,12 @@ def _cmd_analyze(args) -> int:
                                     params=params, jobs=args.jobs, **kw)
         results.update((key, rep.to_json()) for key, rep in reports.items())
         sets = {name: r for rep in reports.values() for name, r in rep.sets.items()}
+        warnings = [w for rep in reports.values() for w in rep.warnings]
     unconverged = sorted(name for name, r in sets.items() if not r.converged)
-    for name in unconverged:
-        print(f"leaklab: warning: a fit of set {name} did not converge (gradient "
-              f"norm {sets[name].grad_norm:.3g} > {_FIT_TOLERANCE:g})", file=sys.stderr)
+    warnings += [f"a fit of set {name} did not converge (gradient norm "
+                 f"{sets[name].grad_norm:.3g} > {_FIT_TOLERANCE:g})" for name in unconverged]
+    for warning in warnings:
+        print(f"leaklab: warning: {warning}", file=sys.stderr)
 
     if args.svg:
         from .plotting import bar_chart

@@ -315,7 +315,7 @@ def _check_groups(entries: list[DatasetEntry]) -> None:
 
 
 class LabeledDataset:
-    """Streamable labeled trace collection, one trace file per entry."""
+    """Labeled trace collection, one trace file per entry, read by ``analysis._walk``."""
 
     def __init__(self, game: str, base_seed: int, entries: list[DatasetEntry],
                  metadata: dict | None = None):
@@ -328,10 +328,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def iter_labeled(self):
-        for e in self.entries:
-            yield e.load(), e.label
-
     def heads(self) -> list[DatasetEntry]:
         """The first entry of each observation group, in dataset order.
 
@@ -343,8 +339,8 @@ class LabeledDataset:
         """One value per entry, in dataset order, from one per group head.
 
         A group's first entry takes the next of ``head_values`` (which
-        follow :meth:`heads`); the others take their group's value, after
-        their file is read and checked against its ``sha256``.
+        follow :meth:`heads`), and the others, in step, their group's
+        value, after their file is read and checked against its ``sha256``.
         """
         values = []
         for i, e in enumerate(self.entries):

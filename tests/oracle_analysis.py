@@ -9,6 +9,9 @@ seeded ``(split_seed, 101, trial)`` with the identity split seeded
 ``(split_seed, 202, trial)``.  The library's reports must equal these,
 ``to_json()`` for ``to_json()``.
 
+``iter_labeled`` is the loader the library once had: every trace of a
+dataset loaded and parsed from its own file, with its label.
+
 ``oracle_train_logreg`` is ``train_logreg`` as it was before it fitted
 only the columns that are nonzero on some standardized training row: it
 optimises every column.  Its default solver, :func:`scipy_lbfgsb`, is
@@ -31,6 +34,11 @@ from leaklab.analysis import (
     train_logreg,
 )
 from leaklab.features import FEATURE_SET_NAMES, FeatureParams, extract_features
+
+
+def iter_labeled(dataset):
+    for e in dataset.entries:
+        yield e.load(), e.label
 
 
 def _as_matrix(X):
@@ -181,7 +189,7 @@ def oracle_fingerprint_advantage(dataset, *, params=None, trials: int = 5,
                                  iterations: int = 1000) -> FingerprintReport:
     params = params or FeatureParams()
     rows, members, identities = [], [], []
-    for trace, label in dataset.iter_labeled():
+    for trace, label in iter_labeled(dataset):
         member, ident = label
         fv = extract_features(trace, FEATURE_SET_NAMES, params)
         rows.append(fv.values)

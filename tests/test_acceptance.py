@@ -19,8 +19,8 @@ import numpy as np
 from conftest import random_trace
 from oracle_features import oracle_extract
 from leaklab.analysis import (
+    advantage_reports,
     dp_bound,
-    evaluate_advantage,
     evaluate_seq_advantage,
     fingerprint_advantage,
     ks_test,
@@ -91,8 +91,8 @@ def test_a2_padding_dp_and_synthetic_channel(capsys, tmp_path):
             "base_seed": 9100 + i,
         })
         ds = run_distinguishing_game(cfg, out_dir=tmp_path / f"a2-{i}", jobs=JOBS)
-        rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
-                                 l2_lambda=0.1, iterations=1000, jobs=JOBS)
+        rep = advantage_reports(ds, ["F1"], trials=5, test_frac=0.2,
+                                l2_lambda=0.1, iterations=1000, jobs=JOBS)["advantage"]
         _, mean, stderr = _raw_norm(rep.sets["F1"])
         sigma = max(stderr, _norm_floor(400, 0.5))
         limit = 2 * dp_bound(eps, delta) + 3 * sigma
@@ -134,8 +134,8 @@ def _phh_config(eps, delta, mitigated, marked_stage, base_seed, per_class):
 def test_a4_unmitigated_service_distinguishable(capsys, tmp_path):
     cfg = _phh_config(0.1, 1e-9, False, "noise_threshold", 9400, 200)
     ds = run_distinguishing_game(cfg, out_dir=tmp_path / "a4", jobs=JOBS)
-    rep = evaluate_advantage(ds, ["F1"], trials=5, test_frac=0.2,
-                             l2_lambda=0.1, iterations=1000, jobs=JOBS)
+    rep = advantage_reports(ds, ["F1"], trials=5, test_frac=0.2,
+                            l2_lambda=0.1, iterations=1000, jobs=JOBS)["advantage"]
     adv = rep.sets["F1"].normalized_mean
     ok = adv >= 0.98
     _report(capsys, "A4", ok,
@@ -149,8 +149,8 @@ def test_a5_mitigated_below_bound_and_aggregation_bypass(capsys, tmp_path):
     for j, eps in enumerate((0.05, 0.1)):
         cfg = _phh_config(eps, delta, True, "noise_threshold", 9500 + j, 250)
         ds = run_distinguishing_game(cfg, out_dir=tmp_path / f"a5-{j}", jobs=JOBS)
-        rep = evaluate_advantage(ds, list(FEATURE_SET_NAMES), trials=5,
-                                 test_frac=0.2, l2_lambda=0.1, iterations=1000, jobs=JOBS)
+        rep = advantage_reports(ds, list(FEATURE_SET_NAMES), trials=5, test_frac=0.2,
+                                l2_lambda=0.1, iterations=1000, jobs=JOBS)["advantage"]
         bound = 2 * dp_bound(eps, delta)
         floor = _norm_floor(100, 0.5)
         worst_name, worst_gap = None, -1.0
@@ -169,8 +169,8 @@ def test_a5_mitigated_below_bound_and_aggregation_bypass(capsys, tmp_path):
     eps = 0.1
     cfg = _phh_config(eps, delta, True, "aggregate", 9550, 250)
     ds = run_distinguishing_game(cfg, out_dir=tmp_path / "a5-agg", jobs=JOBS)
-    rep = evaluate_advantage(ds, ["F5"], trials=5, test_frac=0.2,
-                             l2_lambda=0.1, iterations=1000, jobs=JOBS)
+    rep = advantage_reports(ds, ["F5"], trials=5, test_frac=0.2,
+                            l2_lambda=0.1, iterations=1000, jobs=JOBS)["advantage"]
     _, mean, stderr = _raw_norm(rep.sets["F5"])
     sigma = max(stderr, _norm_floor(100, 0.5))
     bound = 2 * dp_bound(eps, delta)
@@ -208,8 +208,8 @@ def test_a6_linear_scan_page_blind_cipher_sees(capsys, tmp_path):
 
     ds_page = run_distinguishing_game(_scan_config(["page"], 9600),
                                       out_dir=tmp_path / "a6p", jobs=JOBS)
-    rep = evaluate_advantage(ds_page, list(FEATURE_SET_NAMES), trials=5,
-                             test_frac=0.2, l2_lambda=0.1, iterations=1000, jobs=JOBS)
+    rep = advantage_reports(ds_page, list(FEATURE_SET_NAMES), trials=5, test_frac=0.2,
+                            l2_lambda=0.1, iterations=1000, jobs=JOBS)["advantage"]
     page_adv = max(rep.sets[n].normalized_mean for n in FEATURE_SET_NAMES)
 
     ds_ct = run_distinguishing_game(_scan_config(FULL_CHANNELS, 9600),
@@ -244,14 +244,14 @@ def _oram_config(flaw, base_seed):
 def test_a7_oram_flaw_model(capsys, tmp_path):
     ds_off = run_distinguishing_game(_oram_config(False, 9700),
                                      out_dir=tmp_path / "a7off", jobs=JOBS)
-    rep_off = evaluate_advantage(ds_off, list(FEATURE_SET_NAMES), trials=10,
-                                 test_frac=0.2, l2_lambda=0.1, iterations=1000, jobs=JOBS)
+    rep_off = advantage_reports(ds_off, list(FEATURE_SET_NAMES), trials=10, test_frac=0.2,
+                                l2_lambda=0.1, iterations=1000, jobs=JOBS)["advantage"]
     off_adv = max(rep_off.sets[n].normalized_mean for n in FEATURE_SET_NAMES)
 
     ds_on = run_distinguishing_game(_oram_config(True, 9701),
                                     out_dir=tmp_path / "a7on", jobs=JOBS)
-    rep_on = evaluate_advantage(ds_on, ["F3"], trials=10, test_frac=0.2,
-                                l2_lambda=0.1, iterations=1000, jobs=JOBS)
+    rep_on = advantage_reports(ds_on, ["F3"], trials=10, test_frac=0.2,
+                               l2_lambda=0.1, iterations=1000, jobs=JOBS)["advantage"]
     on_adv = rep_on.sets["F3"].normalized_mean
 
     ok = off_adv <= 0.05 and on_adv >= 0.1

@@ -12,9 +12,9 @@ import leaklab.analysis as analysis
 from leaklab.analysis import (
     SetResult,
     advantage_from_matrices,
+    advantage_reports,
     dp_bound,
     dp_bound_useful,
-    evaluate_advantage,
     evaluate_seq_advantage,
     fingerprint_advantage,
     ks_test,
@@ -32,6 +32,7 @@ from leaklab.games import GameConfig, run_distinguishing_game, run_fingerprintin
 
 from oracle_features import oracle_ngram_hash_matrix
 from oracle_analysis import (
+    iter_labeled,
     oracle_advantage_from_matrices,
     oracle_fingerprint_advantage,
     oracle_train_logreg,
@@ -238,18 +239,18 @@ def scan_dataset(tmp_path_factory):
 
 def test_evaluate_advantage_matches_oracle(scan_dataset):
     # dense sets and their union, on the splits seeded (base_seed, trial)
-    traces, labels = zip(*scan_dataset.iter_labeled())
+    traces, labels = zip(*iter_labeled(scan_dataset))
     X_by_set = {name: np.vstack([extract_features(t, [name]).values for t in traces])
                 for name in FEATURE_SET_NAMES}
     want = oracle_advantage_from_matrices(X_by_set, labels, split_seed=5, **_FIT)
-    got = evaluate_advantage(scan_dataset, FEATURE_SET_NAMES, **_FIT)
+    got = advantage_reports(scan_dataset, FEATURE_SET_NAMES, **_FIT)["advantage"]
     assert got.to_json() == want.to_json()
     assert advantage_from_matrices(X_by_set, labels, split_seed=5, **_FIT).to_json() \
         == want.to_json()
 
 
 def test_evaluate_seq_advantage_matches_oracle(scan_dataset):
-    traces, labels = zip(*scan_dataset.iter_labeled())
+    traces, labels = zip(*iter_labeled(scan_dataset))
     X = ngram_hash_matrix([tokenize(t).tokens for t in traces])
     want = oracle_advantage_from_matrices({"seq": X}, labels, split_seed=5, center=False,
                                           **_FIT)
@@ -588,10 +589,10 @@ def _reusable_dataset(name, where, tmp_path):
 
 def _walk_jobs(where, monkeypatch):
     """Analyze ``jobs`` for a ``_reusable_dataset``: at "jobs2" a pool of
-    two, which these small datasets start only without a size floor."""
+    two, which these small datasets start only with a chunk per head."""
     if where != "jobs2":
         return 1
-    monkeypatch.setattr(analysis, "_POOL_MIN_BYTES", 0)
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 0)
     return 2
 
 
@@ -606,10 +607,8 @@ def test_reused_fingerprint_matches_oracle(tmp_path, monkeypatch, where):
 
 @pytest.mark.parametrize("where", ["returned", "jobs1", "jobs2"])
 def test_reused_distinguish_matches_oracle(tmp_path, monkeypatch, where):
-    from leaklab.analysis import advantage_reports
-
     ds = _reusable_dataset("distinguish", where, tmp_path)
-    traces, labels = zip(*ds.iter_labeled())
+    traces, labels = zip(*iter_labeled(ds))
     X_by_set = {name: np.vstack([extract_features(t, [name]).values for t in traces])
                 for name in FEATURE_SET_NAMES}
     seq = ngram_hash_matrix([tokenize(t).tokens for t in traces])
@@ -621,23 +620,63 @@ def test_reused_distinguish_matches_oracle(tmp_path, monkeypatch, where):
         {"seq": seq}, labels, split_seed=5, center=False, **_FIT).to_json()
 
 
-def test_walk_starts_a_pool_only_for_enough_trace_bytes(tmp_path, monkeypatch):
-    ds = _reusable_dataset("distinguish", "jobs1", tmp_path)
-    size = sum(e.path.stat().st_size for e in ds.heads())
-    assert len(ds.heads()) == 2 and size < analysis._POOL_MIN_BYTES
-    ordered_map, workers = analysis.ordered_map, []
+def _assert_same_walk(got, want):
+    names, X, tokens, labels, warnings = got
+    assert np.array_equal(X, want[1])
+    assert (names, tokens, labels, warnings) == want[:1] + want[2:]
 
-    def spy(job, jobs, *iterables):
-        workers.append(jobs)
-        return ordered_map(job, jobs, *iterables)
+
+def _spy_on_tasks(monkeypatch):
+    """The chunk sizes of each walk's tasks, and the traces parsed in
+    this process."""
+    import leaklab.games as games
+
+    ordered_map, parse, tasks, parses = analysis.ordered_map, games.parse_trace, [], []
+
+    def spy(job, jobs, chunks):
+        tasks.append([len(c) for c in chunks])
+        return ordered_map(job, jobs, chunks)
 
     monkeypatch.setattr(analysis, "ordered_map", spy)
-    want = analysis._walk(ds, analysis._Featurize(None, None, seq=True), jobs=1)
-    for floor, pool in [(analysis._POOL_MIN_BYTES, 1), (size + 1, 1), (size, 2), (0, 2)]:
-        monkeypatch.setattr(analysis, "_POOL_MIN_BYTES", floor)
-        workers.clear()
-        assert analysis._walk(ds, analysis._Featurize(None, None, seq=True), jobs=2) == want
-        assert workers == [pool], floor
+    monkeypatch.setattr(games, "parse_trace", lambda text: parses.append(1) or parse(text))
+    return tasks, parses
+
+
+def test_walk_cuts_heads_into_chunks_of_trace_bytes(tmp_path, monkeypatch):
+    ds = _reusable_dataset("distinguish", "jobs1", tmp_path)
+    sizes = [e.path.stat().st_size for e in ds.heads()]
+    assert len(sizes) == 2 and sum(sizes) < analysis._CHUNK_BYTES
+    tasks, parses = _spy_on_tasks(monkeypatch)
+    job = analysis._Featurize(FEATURE_SET_NAMES, None, seq=True)
+    want = analysis._walk(ds, job, jobs=1)
+    assert len(want[0]) == want[1].shape[1] and want[1].shape[0] == len(ds)
+    # a chunk closes once its heads' files hold _CHUNK_BYTES
+    for chunk_bytes, chunks in [(analysis._CHUNK_BYTES, [2]), (sum(sizes), [2]),
+                                (sizes[0] + 1, [2]), (sizes[0], [1, 1]), (0, [1, 1])]:
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk_bytes)
+        tasks.clear()
+        parses.clear()
+        _assert_same_walk(analysis._walk(ds, job, jobs=2), want)
+        assert tasks == [chunks], chunk_bytes
+        # one chunk runs in this process, two on a pool of two workers
+        assert len(parses) == (2 if chunks == [2] else 0), chunk_bytes
+
+
+def test_walk_of_many_small_traces_makes_few_tasks(tmp_path, monkeypatch):
+    # A2's shape: 2000 page-only synthetic_loop traces of about 860 bytes
+    ds = run_distinguishing_game(GameConfig.from_json({
+        "game": "distinguish",
+        "workload": {"kind": "synthetic_loop", "eps": 0.5, "delta": 1e-6},
+        "policy": {"channels": ["page"], "targeted": True},
+        "x0": 0, "x1": 1, "traces_per_class": 1000, "base_seed": 9104,
+    }), tmp_path / "d", jobs=2)
+    size = sum(e.path.stat().st_size for e in ds.heads())
+    tasks, _ = _spy_on_tasks(monkeypatch)
+    job = analysis._Featurize(("F1",), None)
+    want = analysis._walk(ds, job, jobs=1)
+    _assert_same_walk(analysis._walk(ds, job, jobs=2), want)
+    assert tasks[0] == tasks[1] and sum(tasks[0]) == len(ds.heads())
+    assert 1 < len(tasks[0]) <= math.ceil(size / analysis._CHUNK_BYTES)
 
 
 # -- the n-gram model's fit: scaled, not centered -------------------------------
@@ -653,7 +692,7 @@ def test_uncentered_fit_matches_the_csr_fit_on_a6_data(tmp_path):
         "x0": 137, "x1": 803, "sybil": {"kind": "copies", "value": 0, "count": 9},
         "traces_per_class": 200, "base_seed": 9600,
     }), tmp_path / "d")
-    traces, labels = zip(*ds.iter_labeled())
+    traces, labels = zip(*iter_labeled(ds))
     tokens = [tokenize(t).tokens for t in traces]
     X = ngram_hash_matrix(tokens)
     csr = oracle_ngram_hash_matrix(tokens)
@@ -672,6 +711,9 @@ def test_uncentered_fit_matches_the_csr_fit_on_a6_data(tmp_path):
 
 @pytest.mark.parametrize("name", list(_REUSABLE))
 def test_walk_parses_and_featurizes_once_per_group(tmp_path, monkeypatch, name):
+    from types import SimpleNamespace
+
+    import leaklab.features as features
     import leaklab.games as games
 
     ds = _reusable_dataset(name, "jobs1", tmp_path)
@@ -680,11 +722,15 @@ def test_walk_parses_and_featurizes_once_per_group(tmp_path, monkeypatch, name):
     monkeypatch.setattr(games, "parse_trace", lambda text: parses.append(1) or parse(text))
     monkeypatch.setattr(games.DatasetEntry, "read_text",
                         lambda self: reads.append(self.path) or read(self))
-    rows, labels = analysis._walk(ds, lambda trace: featurized.append(trace) or len(featurized))
+    # a token stream that counts the featurized traces
+    monkeypatch.setattr(features, "tokenize", lambda trace: featurized.append(trace)
+                        or SimpleNamespace(tokens=len(featurized)))
+    _, X, rows, labels, _ = analysis._walk(ds, analysis._Featurize(None, None, seq=True))
     groups = sorted({e.obs for e in ds.entries})
-    assert len(parses) == len(featurized) == len(groups)
-    # every file is still read (and checked against its sha256)
-    assert reads == [e.path for e in ds.entries]
+    assert X is None and len(parses) == len(featurized) == len(groups)
+    # every file is still read (and checked against its sha256); a chunk
+    # reads its heads before the members between them
+    assert sorted(reads) == sorted(e.path for e in ds.entries)
     # each run gets its group's row
     assert rows == [groups.index(e.obs) + 1 for e in ds.entries]
     assert labels == [e.label for e in ds.entries]

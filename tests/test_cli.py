@@ -452,7 +452,7 @@ def test_analyze_feature_sets(capsys, loop_dataset):
 
 def test_analyze_seq_and_union(capsys, loop_dataset, monkeypatch):
     from leaklab import games
-    from leaklab.analysis import evaluate_advantage, evaluate_seq_advantage
+    from leaklab.analysis import advantage_reports, evaluate_seq_advantage
     from leaklab.features import FeatureParams
 
     parsed = []
@@ -473,10 +473,33 @@ def test_analyze_seq_and_union(capsys, loop_dataset, monkeypatch):
     p = rep["params"]
     kw = {k: p[k] for k in ("trials", "test_frac", "l2_lambda", "iterations")}
     params = FeatureParams(n_bins=p["n_bins"], m_cf=p["m_cf"], m_da=p["m_da"])
-    apart = {"advantage": evaluate_advantage(ds, ["F1", "F5"], params=params, **kw),
+    apart = {"advantage": advantage_reports(ds, ["F1", "F5"], params=params,
+                                            **kw)["advantage"],
              "seq": evaluate_seq_advantage(ds, **kw)}
     for key, report in apart.items():
         assert rep["results"][key] == json.loads(json.dumps(report.to_json()))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analyze_warns_of_zero_filled_sets(capsys, loop_dataset, monkeypatch, jobs):
+    # a page-only dataset has no cache or cipher channel: F2, F3 and F4
+    # are zero-filled, each said once on stderr, and the report is the
+    # one analyze wrote before it printed these warnings
+    import hashlib
+
+    from leaklab import analysis
+
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 0)  # a pool at --jobs 2
+    capsys.readouterr()
+    code = main(["analyze", "--dataset", str(loop_dataset), "--sets", "all",
+                 "--trials", "2", "--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK
+    warned = [line for line in err.splitlines() if line.startswith("leaklab: warning: ")]
+    assert [w.split()[2] for w in warned] == ["F2:", "F3:", "F4:"]
+    assert all(w.endswith("their features are zero-filled") for w in warned)
+    assert hashlib.sha256(out.replace(str(loop_dataset), "DATASET").encode()).hexdigest() \
+        == "b1964ec9847f98be087fec17131366d128ff796b6a352d9e46def46ba2861c82"
 
 
 def test_analyze_fails_loudly_on_an_unconverged_fit(capsys, loop_dataset):
@@ -685,7 +708,7 @@ def test_analyze_leaves_scipy_unloaded(tmp_path, loop_dataset, jobs):
     # the n-gram matrix and the solver are numpy only (and never call
     # np.unique, which loads numpy.ma), the schema checker is in-module,
     # and reading a dataset needs no simulator; at --jobs 2
-    # the walk's pool runs too (a size floor of 0 lets these small
+    # the walk's pool runs too (a chunk per head lets these small
     # datasets start one)
     fp = tmp_path / "fp"
     cfg = {**FP_CONFIG, "n_traces": 30, "base_seed": 31,
@@ -698,7 +721,7 @@ def test_analyze_leaves_scipy_unloaded(tmp_path, loop_dataset, jobs):
 import contextlib, io, sys
 import leaklab.analysis
 from leaklab.cli import main
-leaklab.analysis._POOL_MIN_BYTES = 0
+leaklab.analysis._CHUNK_BYTES = 0
 def scipy_after(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["analyze", *argv, "--trials", "2", "--jobs", {jobs!r}]) == 0, argv

@@ -574,10 +574,10 @@ def reused_dataset(tmp_path):
     return tmp_path / "d", rows, member
 
 
-def _walk_all(root):
-    from leaklab.analysis import _walk
+def _walk_all(root, jobs=1):
+    from leaklab.analysis import _Featurize, _walk
 
-    return _walk(LabeledDataset.load(root), lambda trace: 0)
+    return _walk(LabeledDataset.load(root), _Featurize(None, None), jobs)
 
 
 def test_walk_checks_every_member_file(reused_dataset):
@@ -603,8 +603,8 @@ def test_pooled_walk_fails_like_the_serial_one(reused_dataset, capsys, monkeypat
     from leaklab.cli import EXIT_RUNTIME, main
     from leaklab.trace import TraceSyntaxError
 
-    # a dataset this small starts a pool only without a size floor
-    monkeypatch.setattr(analysis, "_POOL_MIN_BYTES", 0)
+    # a dataset this small starts a pool only with a chunk per head
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 0)
     root, rows, member = reused_dataset
     if case == "member-edited":
         # valid trace text, but not the file written: a member is checked
@@ -634,6 +634,35 @@ def test_pooled_walk_fails_like_the_serial_one(reused_dataset, capsys, monkeypat
     assert code == EXIT_RUNTIME and errors[0][1] in capsys.readouterr().err
     # the pool is shut down on the error: no worker outlives the call
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("first", ["head", "member"])
+def test_walk_reports_the_first_bad_file_in_dataset_order(reused_dataset, monkeypatch,
+                                                          first):
+    # a bad head and a bad member, either one first in dataset order: the
+    # first is reported at any --jobs, with chunks of one head, of several
+    # (in which a later head is loaded before an earlier member is read)
+    # and of all of them
+    from leaklab import analysis
+
+    root, rows, _ = reused_dataset
+    heads = [i for i, r in enumerate(rows) if r["obs"] == i]
+    members = [i for i, r in enumerate(rows) if r["obs"] != i]
+    if first == "head":
+        bad = [heads[1], members[-1]]
+    else:
+        bad = [members[0], heads[-1]]
+    assert bad[0] < bad[1]
+    for i in bad:
+        (root / rows[i]["path"]).write_bytes(b"not the file written\n")
+    want = f"{root / rows[bad[0]]['path']}: trace file does not match its sha256"
+    sizes = [(root / rows[i]["path"]).stat().st_size for i in heads]
+    for chunk_bytes in (0, sum(sizes) // 3, analysis._CHUNK_BYTES):
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk_bytes)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError) as info:
+                _walk_all(root, jobs)
+            assert str(info.value) == want, (chunk_bytes, jobs)
 
 
 @pytest.mark.parametrize("edit, match", [
