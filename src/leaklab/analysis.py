@@ -460,7 +460,10 @@ def _walk(dataset, featurize: _Featurize, jobs: int = 1) -> tuple:
             chunks.append([])
             size = 0
         chunks[-1].append(e)
-        size += e.path.stat().st_size if e.path.is_file() else 0
+        try:
+            size += e.path.stat().st_size
+        except FileNotFoundError:
+            pass
     names, warnings = None, []
 
     def head_rows(results):
@@ -549,7 +552,7 @@ def advantage_reports(dataset, feature_sets=None, *, seq: bool = False,
     names, X, tokens, labels, warnings = _walk(dataset, job, jobs)
 
     fit = dict(trials=trials, test_frac=test_frac, l2_lambda=l2_lambda,
-               iterations=iterations, split_seed=getattr(dataset, "base_seed", 0))
+               iterations=iterations, split_seed=dataset.base_seed)
     reports = {}
     if feature_sets is not None:
         # split the columns per set; names carry the set as a "F<k>." prefix
@@ -616,13 +619,12 @@ def fingerprint_advantage(dataset, *, params=None, trials: int = 5,
     _, X, _, labels, warnings = _walk(dataset, _Featurize(FEATURE_SET_NAMES, params), jobs)
     members, identities = np.array(labels, dtype=int).T
     member_idx = np.flatnonzero(members == 1)
-    split_seed = getattr(dataset, "base_seed", 0)
     fit = (trials, test_frac, l2_lambda, iterations)
     return FingerprintReport(
-        membership=_trial_set(X, members, (split_seed, 101), *fit,
+        membership=_trial_set(X, members, (dataset.base_seed, 101), *fit,
                               baseline=dataset.s_c),
         fingerprint=_trial_set(X[member_idx], identities[member_idx],
-                               (split_seed, 202), *fit,
+                               (dataset.base_seed, 202), *fit,
                                baseline=dataset.s_f),
         s_c=dataset.s_c, s_f=dataset.s_f, warnings=warnings,
     )

@@ -190,7 +190,7 @@ def _cmd_analyze(args) -> int:
     results: dict = {"n_traces": len(ds)}
 
     if args.fingerprint:
-        if ds.metadata.get("labels") != "membership_identity":
+        if ds.game != "fingerprint":
             raise _config_error("--fingerprint needs a fingerprinting dataset")
         rep = fingerprint_advantage(ds, params=params, jobs=args.jobs, **kw)
         results["fingerprint"] = rep.to_json()

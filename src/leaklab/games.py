@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .pool import ordered_map
-from .schemas import validate_manifest_row
+from .schemas import SchemaError, validate_manifest_row
 from .trace import Trace, parse_trace, write_trace
 
 # The functions that plan and run games import machine and workloads
@@ -266,30 +266,34 @@ class GameConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _trace_file(idx: int) -> str:
+    """Run ``idx``'s trace file, relative to the dataset directory."""
+    return f"traces/trace_{idx:05d}.txt"
+
+
 @dataclass
 class DatasetEntry:
     """One run: its seed, its label and its trace file.
 
     ``obs`` is the dataset index of the first run with the same
     observation, so entries with equal ``obs`` give equal features (see
-    ``_generate``); None when unknown.  ``sha256`` is the hex digest of
-    the trace file's bytes, and every read of the file checks it; None
-    only in a manifest written without it.
+    ``_generate``).  ``sha256`` is the hex digest of the trace file's
+    bytes, and every read of the file checks it.
     """
 
     seed: int
     label: object
     path: Path
-    obs: int | None = None
-    sha256: str | None = None
+    obs: int
+    sha256: str
 
     def read_text(self) -> str:
-        """The trace file's text, checked against ``sha256`` when set."""
+        """The trace file's text, checked against ``sha256``."""
         try:
             data = self.path.read_bytes()
         except FileNotFoundError:
             raise ValueError(f"{self.path}: trace file is missing") from None
-        if self.sha256 is not None and hashlib.sha256(data).hexdigest() != self.sha256:
+        if hashlib.sha256(data).hexdigest() != self.sha256:
             raise ValueError(f"{self.path}: trace file does not match its sha256")
         return data.decode()
 
@@ -301,7 +305,7 @@ def _check_groups(entries: list[DatasetEntry]) -> None:
     """Each ``obs`` names an earlier or the same entry, which heads its
     own group and has the same label."""
     for i, e in enumerate(entries):
-        if e.obs is None or e.obs == i:
+        if e.obs == i:
             continue
         if e.obs > i:
             raise ValueError(f"row {i}: obs {e.obs} points forward")
@@ -329,11 +333,8 @@ class LabeledDataset:
         return len(self.entries)
 
     def heads(self) -> list[DatasetEntry]:
-        """The first entry of each observation group, in dataset order.
-
-        An entry's group is its ``obs``, or its own index without one.
-        """
-        return [e for i, e in enumerate(self.entries) if e.obs in (None, i)]
+        """The first entry of each observation group, in dataset order."""
+        return [e for i, e in enumerate(self.entries) if e.obs == i]
 
     def spread(self, head_values) -> list:
         """One value per entry, in dataset order, from one per group head.
@@ -344,7 +345,7 @@ class LabeledDataset:
         """
         values = []
         for i, e in enumerate(self.entries):
-            if e.obs in (None, i):
+            if e.obs == i:
                 values.append(next(head_values))
                 continue
             e.read_text()
@@ -361,33 +362,32 @@ class LabeledDataset:
 
     @classmethod
     def load(cls, directory) -> "LabeledDataset":
+        """The dataset in ``directory``: its game and base seed are its hashed
+        config's, and manifest row ``i`` describes ``_trace_file(i)``."""
         root = Path(directory)
         meta = json.loads((root / "dataset.json").read_text())
-        if GameConfig.from_json(meta["config"]).config_hash() != meta["config_hash"]:
+        cfg = GameConfig.from_json(meta["config"])
+        if cfg.config_hash() != meta["config_hash"]:
             raise ValueError(f"{root}: dataset.json config does not match its config_hash")
         entries = []
         with open(root / "manifest.jsonl") as fh:
             for i, line in enumerate(fh):
                 row = json.loads(line)
-                validate_manifest_row(row)
-                rel = row["path"]
-                if rel.startswith("/") or any(p in ("", "..") for p in rel.split("/")):
-                    raise ValueError(f"{root}: manifest row {i}: path {rel!r} "
-                                     "leaves the dataset directory")
-                if ("obs" in row) != ("sha256" in row):
-                    raise ValueError(f"{root}: manifest row {i}: obs and sha256 "
-                                     "come together or not at all")
+                try:
+                    validate_manifest_row(row)
+                except SchemaError as e:
+                    raise SchemaError(f"{root / 'manifest.jsonl'} row {i}: {e}") from None
                 label = row["label"]
                 if isinstance(label, list):
                     label = tuple(label)
                 entries.append(DatasetEntry(
-                    seed=row["seed"], label=label, path=root / rel,
-                    obs=row.get("obs"), sha256=row.get("sha256")))
+                    seed=row["seed"], label=label, path=root / _trace_file(i),
+                    obs=row["obs"], sha256=row["sha256"]))
         if len(entries) != meta["n"]:
             raise ValueError(f"{root}: manifest has {len(entries)} rows, "
                              f"dataset.json says n={meta['n']}")
         try:
-            return cls(meta["game"], meta["base_seed"], entries, metadata=meta)
+            return cls(cfg.game, cfg.base_seed, entries, metadata=meta)
         except ValueError as e:
             raise ValueError(f"{root}: manifest {e}") from None
 
@@ -428,7 +428,7 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
             raise ValueError(f"unknown sybil strategy: {kind!r}")
         runs = [(cfg.x1 if i % 2 else cfg.x0, i % 2, derive_seed(cfg.base_seed, "run", i))
                 for i in range(2 * cfg.traces_per_class)]
-        meta = {"labels": "binary"}
+        meta = {}
     else:
         import numpy as np
 
@@ -453,17 +453,12 @@ def _plan(cfg: GameConfig) -> tuple[list, list[tuple], dict]:
             run_seed = derive_seed(cfg.base_seed, "run", i)
             x = prior.sample(np.random.default_rng([run_seed, 0xF1D0]))
             runs.append((x, (1, index_of[x]) if x in index_of else (0, -1), run_seed))
-        meta = {"labels": "membership_identity", "s_c": max(p_member, 1.0 - p_member),
+        meta = {"s_c": max(p_member, 1.0 - p_member),
                 "s_f": max(prior.prob_of(u) for u in interesting) / p_member,
                 "interest_size": len(interesting), "sybil_distinct": len(set(inputs))}
     for x in {repr(x): x for x, _, _ in runs}.values():
         build_workload(cfg.workload, inputs + [x], 0)
     return inputs, runs, meta
-
-
-def _trace_file(idx: int) -> str:
-    """Run ``idx``'s trace file, relative to the dataset directory."""
-    return f"traces/trace_{idx:05d}.txt"
 
 
 class _TraceJob:
@@ -563,10 +558,10 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDat
     The runs map one job through :func:`~leaklab.pool.ordered_map`:
     serial runs call it here, a pool gives each worker its own copy.
     The job writes each trace file into the staging directory, and this
-    process writes the manifest rows in run order.  Each row carries the
-    ``sha256`` of its trace file and its ``obs``: when the config's
-    observations are reusable, the index of the first run of its secret,
-    else its own index.
+    process writes the manifest rows in run order.  A row is the run's
+    ``seed`` and ``label``, the ``sha256`` of its trace file and its
+    ``obs``: when the config's observations are reusable, the index of
+    the first run of its secret, else its own index.
 
     ``out_dir`` must be new or empty.  The dataset is written into a
     fresh sibling directory, which replaces ``out_dir`` once
@@ -578,7 +573,7 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDat
     root = Path(out_dir)
     _check_out_dir(root)
     meta = {"config": cfg.to_json(), "config_hash": cfg.config_hash(), "n": len(runs),
-            "game": cfg.game, "base_seed": cfg.base_seed, **game_meta}
+            **game_meta}
     uses = collections.Counter(repr(x) for x, _, _ in runs)
     repeated = {k for k, n in uses.items() if n > 1}
     xs, labels, seeds = zip(*runs)
@@ -599,11 +594,9 @@ def _generate(cfg: GameConfig, out_dir, jobs: int, progress, plan) -> LabeledDat
         results = stack.enter_context(
             ordered_map(job, jobs, range(len(runs)), xs, seeds, chunksize=4))
         for idx, (label, seed, obs, sha256) in enumerate(zip(labels, seeds, groups, results)):
-            rel = _trace_file(idx)
-            row = {"path": rel, "game": cfg.game, "seed": seed,
-                   "label": list(label) if isinstance(label, tuple) else label,
+            row = {"seed": seed, "label": list(label) if isinstance(label, tuple) else label,
                    "obs": obs, "sha256": sha256}
-            entries.append(DatasetEntry(seed=seed, label=label, path=root / rel,
+            entries.append(DatasetEntry(seed=seed, label=label, path=root / _trace_file(idx),
                                         obs=obs, sha256=sha256))
             manifest.write(json.dumps(row, sort_keys=True) + "\n")
             if progress is not None:

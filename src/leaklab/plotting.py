@@ -115,12 +115,11 @@ def line_chart(series: dict[str, list[tuple[float, float]]], *, title: str = "",
     return c.finish()
 
 
-def bar_chart(values: dict[str, float], *, title: str = "", y_label: str = "",
-              baseline: float | None = None) -> str:
-    """Labeled bar chart with an optional dashed horizontal reference line."""
+def bar_chart(values: dict[str, float], *, title: str = "", y_label: str = "") -> str:
+    """Labeled bar chart."""
     if not values:
         raise ValueError("no data")
-    y_hi = max(list(values.values()) + ([baseline] if baseline else []) + [0.0])
+    y_hi = max(list(values.values()) + [0.0])
     y_hi = y_hi or 1.0
     c = _Canvas(title)
     sx, sy = _axes(c, 0, len(values), 0.0, y_hi * 1.08, "", y_label)
@@ -130,7 +129,4 @@ def bar_chart(values: dict[str, float], *, title: str = "", y_label: str = "",
               f'height="{abs(sy(0) - sy(v)):.1f}" fill="{_COLORS[0]}"/>')
         c.add(f'<text x="{sx(i + 0.5):.1f}" y="{_H - _MB + 16}" '
               f'text-anchor="middle">{escape(str(name))}</text>')
-    if baseline is not None:
-        c.add(f'<line x1="{_ML}" y1="{sy(baseline):.1f}" x2="{_W - _MR}" '
-              f'y2="{sy(baseline):.1f}" stroke="#d62728" stroke-dasharray="5,3"/>')
     return c.finish()

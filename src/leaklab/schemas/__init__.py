@@ -3,14 +3,13 @@
 The checker interprets the subset of JSON Schema Draft 2020-12 that the
 bundled schemas use:
 
-- any value: ``type``, ``enum``, ``const``, ``allOf``, ``oneOf``,
-  ``if``/``then``;
+- any value: ``type``, ``enum``, ``const``, ``allOf``, ``if``/``then``;
 - objects: ``required``, ``properties``, ``additionalProperties`` (false
   or a schema), ``minProperties``;
 - arrays: ``items``, ``minItems``, ``maxItems``, ``uniqueItems``;
 - numbers: ``minimum``, ``maximum``, ``exclusiveMinimum``,
   ``exclusiveMaximum``;
-- strings: ``minLength``, ``pattern`` (matched with ``re.search``).
+- strings: ``pattern`` (matched with ``re.search``).
 
 ``$schema``, ``$id``, ``title`` and ``$comment`` are annotations and are
 ignored.  Loading a schema that uses any other keyword raises
@@ -38,8 +37,8 @@ _ANNOTATIONS = frozenset({"$schema", "$id", "title", "$comment"})
 _KEYWORDS = frozenset({
     "type", "enum", "const", "required", "properties", "additionalProperties",
     "items", "minItems", "maxItems", "uniqueItems", "minimum", "maximum",
-    "exclusiveMinimum", "exclusiveMaximum", "minLength", "pattern",
-    "minProperties", "allOf", "oneOf", "if", "then",
+    "exclusiveMinimum", "exclusiveMaximum", "pattern", "minProperties", "allOf",
+    "if", "then",
 })
 
 
@@ -68,7 +67,7 @@ def _check_keywords(schema, where: str = "$") -> None:
         if key == "properties":
             for name, sub in value.items():
                 _check_keywords(sub, f"{where}.properties.{name}")
-        elif key in ("allOf", "oneOf"):
+        elif key == "allOf":
             for i, sub in enumerate(value):
                 _check_keywords(sub, f"{where}.{key}[{i}]")
         elif key in ("additionalProperties", "items", "if", "then"):
@@ -127,12 +126,6 @@ def _errors(schema, obj, path: tuple):
         elif key == "allOf":
             for sub in value:
                 yield from _errors(sub, obj, path)
-        elif key == "oneOf":
-            n_valid = sum(_valid(sub, obj) for sub in value)
-            if n_valid == 0:
-                yield path, f"{obj!r} is not valid under any of the given schemas"
-            elif n_valid > 1:
-                yield path, f"{obj!r} is valid under more than one of the given schemas"
         elif key == "if":
             if "then" in schema and _valid(value, obj):
                 yield from _errors(schema["then"], obj, path)
@@ -170,9 +163,7 @@ def _errors(schema, obj, path: tuple):
                     _equal(a, b) for i, a in enumerate(obj) for b in obj[i + 1:]):
                 yield path, f"{obj!r} has non-unique elements"
         elif isinstance(obj, str):
-            if key == "minLength" and len(obj) < value:
-                yield path, f"{obj!r} {'should be non-empty' if value == 1 else 'is too short'}"
-            elif key == "pattern" and not re.search(value, obj):
+            if key == "pattern" and not re.search(value, obj):
                 yield path, f"{obj!r} does not match {value!r}"
         elif _is_number(obj):
             if key == "minimum" and obj < value:

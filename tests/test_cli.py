@@ -436,6 +436,27 @@ def test_analyze_refuses_an_edited_trace_of_a_config_without_reuse(capsys, tmp_p
     assert "trace_00000.txt: trace file does not match its sha256" in err
 
 
+def test_analyze_refuses_the_older_dataset_format(capsys, loop_dataset, tmp_path):
+    # rows that also carry their path and game, and dataset.json copies
+    # of facts the hashed config holds
+    import shutil
+
+    root = tmp_path / "old"
+    shutil.copytree(loop_dataset, root)
+    rows = [json.loads(line) for line in (root / "manifest.jsonl").read_text().splitlines()]
+    for i, row in enumerate(rows):
+        row.update(path=f"traces/trace_{i:05d}.txt", game="distinguish")
+    (root / "manifest.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    meta = json.loads((root / "dataset.json").read_text())
+    meta.update(game="distinguish", base_seed=12, labels="binary")
+    (root / "dataset.json").write_text(json.dumps(meta))
+    code, rep, err = run_cli(capsys, "analyze", "--dataset", str(root), "--sets", "F1",
+                             "--trials", "2")
+    assert code == EXIT_CONFIG and rep is None
+    assert (f"{root / 'manifest.jsonl'} row 0: $: Additional properties are not allowed "
+            "('game', 'path' were unexpected)") in err
+
+
 def test_analyze_feature_sets(capsys, loop_dataset):
     capsys.readouterr()
     code, rep, _ = run_cli(capsys, "analyze", "--dataset", str(loop_dataset),

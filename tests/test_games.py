@@ -20,6 +20,7 @@ from leaklab.games import (
     run_distinguishing_game,
     run_fingerprinting_game,
 )
+from leaklab.games import _trace_file
 from leaklab.machine import CollectorPolicy, Placement, SimMachine, observe
 from leaklab.schemas import SchemaError
 from leaklab.trace import write_trace
@@ -186,7 +187,9 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert (tmp_path / "d1" / "dataset.json").exists()
     rows = [json.loads(l) for l in (tmp_path / "d1" / "manifest.jsonl").read_text().splitlines()]
     assert len(rows) == 6
-    assert all(set(r) == {"path", "label", "game", "seed", "obs", "sha256"} for r in rows)
+    assert all(set(r) == {"seed", "label", "obs", "sha256"} for r in rows)
+    meta = json.loads((tmp_path / "d1" / "dataset.json").read_text())
+    assert not {"game", "base_seed", "labels"} & set(meta)
     back = LabeledDataset.load(tmp_path / "d1")
     assert back.game == "distinguish"
     assert back.base_seed == 77
@@ -538,8 +541,8 @@ def test_reusable_manifest_names_groups_and_digests(tmp_path, cfg_obj):
     ds = run(cfg, out_dir=tmp_path / "d")
     rows = _manifest(tmp_path / "d")
     assert [r["obs"] for r in rows] == [e.obs for e in ds.entries] == groups
-    for r in rows:
-        data = (tmp_path / "d" / r["path"]).read_bytes()
+    for i, r in enumerate(rows):
+        data = (tmp_path / "d" / _trace_file(i)).read_bytes()
         assert r["sha256"] == hashlib.sha256(data).hexdigest()
     back = LabeledDataset.load(tmp_path / "d")
     assert [(e.obs, e.sha256) for e in back.entries] == [(r["obs"], r["sha256"]) for r in rows]
@@ -553,16 +556,23 @@ def test_other_configs_write_groups_of_one(tmp_path):
         assert r["sha256"] == e.sha256 == hashlib.sha256(e.path.read_bytes()).hexdigest()
 
 
-def test_manifest_without_groups_still_loads(tmp_path):
-    # a manifest written before every row carried obs and sha256
-    run_distinguishing_game(GameConfig.from_json(dict(LOOP_CFG)), out_dir=tmp_path / "d")
-    rows = _manifest(tmp_path / "d")
-    for r in rows:
-        del r["obs"], r["sha256"]
-    _write_manifest(tmp_path / "d", rows)
-    ds = LabeledDataset.load(tmp_path / "d")
-    assert all(e.obs is None and e.sha256 is None for e in ds.entries)
-    assert len(ds.heads()) == len(ds)
+@pytest.mark.parametrize("edit, want", [
+    (lambda r: r.pop("obs"), "'obs' is a required property"),
+    (lambda r: r.pop("sha256"), "'sha256' is a required property"),
+    (lambda r: r.update(path=_trace_file(2)), "('path' was unexpected)"),
+    (lambda r: r.update(game="distinguish"), "('game' was unexpected)"),
+], ids=["no-obs", "no-sha256", "path", "game"])
+def test_manifest_rows_outside_the_format_are_refused(tmp_path, edit, want):
+    # a row is exactly seed, label, obs and sha256, as written
+    root = tmp_path / "d"
+    run_distinguishing_game(GameConfig.from_json(dict(LOOP_CFG)), out_dir=root)
+    rows = _manifest(root)
+    edit(rows[2])
+    _write_manifest(root, rows)
+    with pytest.raises(SchemaError) as info:
+        LabeledDataset.load(root)
+    assert str(info.value).startswith(f"{root / 'manifest.jsonl'} row 2: $: ")
+    assert str(info.value).endswith(want)
 
 
 @pytest.fixture
@@ -582,8 +592,8 @@ def _walk_all(root, jobs=1):
 
 def test_walk_checks_every_member_file(reused_dataset):
     root, rows, member = reused_dataset
-    path = root / rows[member]["path"]
-    head = root / rows[rows[member]["obs"]]["path"]
+    path = root / _trace_file(member)
+    head = root / _trace_file(rows[member]["obs"])
     _walk_all(root)
     # valid trace text, with the same features, but not the file written
     path.write_bytes(head.read_bytes())
@@ -609,13 +619,13 @@ def test_pooled_walk_fails_like_the_serial_one(reused_dataset, capsys, monkeypat
     if case == "member-edited":
         # valid trace text, but not the file written: a member is checked
         # against its sha256 although it is never parsed
-        head = root / rows[rows[member]["obs"]]["path"]
-        (root / rows[member]["path"]).write_bytes(head.read_bytes())
+        head = root / _trace_file(rows[member]["obs"])
+        (root / _trace_file(member)).write_bytes(head.read_bytes())
         want = ValueError
     else:
         # the last group head, cut mid-line, with a sha256 that matches
         last = max(i for i, r in enumerate(rows) if r["obs"] == i)
-        path = root / rows[last]["path"]
+        path = root / _trace_file(last)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         rows[last]["sha256"] = hashlib.sha256(data[: len(data) // 2]).hexdigest()
@@ -654,9 +664,9 @@ def test_walk_reports_the_first_bad_file_in_dataset_order(reused_dataset, monkey
         bad = [members[0], heads[-1]]
     assert bad[0] < bad[1]
     for i in bad:
-        (root / rows[i]["path"]).write_bytes(b"not the file written\n")
-    want = f"{root / rows[bad[0]]['path']}: trace file does not match its sha256"
-    sizes = [(root / rows[i]["path"]).stat().st_size for i in heads]
+        (root / _trace_file(i)).write_bytes(b"not the file written\n")
+    want = f"{root / _trace_file(bad[0])}: trace file does not match its sha256"
+    sizes = [(root / _trace_file(i)).stat().st_size for i in heads]
     for chunk_bytes in (0, sum(sizes) // 3, analysis._CHUNK_BYTES):
         monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk_bytes)
         for jobs in (1, 2):
@@ -667,8 +677,8 @@ def test_walk_reports_the_first_bad_file_in_dataset_order(reused_dataset, monkey
 
 @pytest.mark.parametrize("edit, match", [
     (lambda rows, i: rows[i].update(obs=i + 1), "points forward"),
-    (lambda rows, i: rows[i].pop("sha256"), "come together"),
-    (lambda rows, i: rows[i].pop("obs"), "come together"),
+    (lambda rows, i: rows[i].pop("sha256"), "'sha256' is a required property"),
+    (lambda rows, i: rows[i].pop("obs"), "'obs' is a required property"),
     (lambda rows, i: rows[rows[i]["obs"]].update(
         label=[0, -1] if rows[i]["label"] != [0, -1] else [1, 0]), "another label"),
 ], ids=["forward", "no-sha256", "no-obs", "other-label"])
@@ -683,10 +693,10 @@ def test_dataset_load_rejects_bad_groups(reused_dataset, edit, match):
 def test_dataset_rejects_an_obs_outside_its_group():
     def dataset(*obs, labels=(0, 0, 0)):
         return LabeledDataset("distinguish", 0, [
-            DatasetEntry(seed=i, label=y, path=Path(f"t{i}"), obs=o)
+            DatasetEntry(seed=i, label=y, path=Path(f"t{i}"), obs=o, sha256="")
             for i, (o, y) in enumerate(zip(obs, labels))])
 
-    assert len(dataset(0, 0, 2)) == len(dataset(0, 1, 1)) == len(dataset(None, None, None)) == 3
+    assert len(dataset(0, 0, 2)) == len(dataset(0, 1, 1)) == len(dataset(0, 1, 2)) == 3
     with pytest.raises(ValueError, match="row 2: obs 1 names a row outside its own group"):
         dataset(0, 0, 1)
     with pytest.raises(ValueError, match="row 1: obs 2 points forward"):
@@ -695,19 +705,3 @@ def test_dataset_rejects_an_obs_outside_its_group():
         dataset(0, -1, 2)
     with pytest.raises(ValueError, match="row 2: obs 0 names a row with another label"):
         dataset(0, 1, 0, labels=(0, 1, 1))
-
-
-def test_dataset_load_keeps_paths_inside(tmp_path):
-    cfg = GameConfig.from_json(dict(LOOP_CFG))
-    for name in ("d", "other"):
-        run_distinguishing_game(cfg, out_dir=tmp_path / name)
-    rows = _manifest(tmp_path / "d")
-    for i, path in [(0, str(tmp_path / "other" / rows[0]["path"])),
-                    (1, "../other/traces/trace_00001.txt"),
-                    (2, "traces//trace_00002.txt"),
-                    (3, "traces/../traces/trace_00003.txt")]:
-        bad = [dict(r) for r in rows]
-        bad[i]["path"] = path
-        _write_manifest(tmp_path / "d", bad)
-        with pytest.raises(ValueError, match=f"row {i}: path"):
-            LabeledDataset.load(tmp_path / "d")
